@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from cellconn.dqn import TrainConfig, deployment_state, greedy_rollout, train
 from cellconn.gnn import load_model, save_model
-from cellconn.graph import capacity_matrix
 from cellconn.metrics import coverage, jain_index, sum_throughput
 from cellconn.netmodel import (Deployment, RadioConfig, generate_deployment,
                                load_deployment, save_deployment)
@@ -56,8 +55,7 @@ class ExperimentConfig:
         return self.n_cells_list[0], self.n_ues_list[0]
 
     def train_config(self) -> TrainConfig:
-        return dataclasses.replace(self.train, seed=self.seed,
-                                   n_deployments=self.n_train_deployments)
+        return dataclasses.replace(self.train, seed=self.seed)
 
     def hex_area_km2(self) -> float:
         r = self.hex_diameter_m / 2.0
@@ -193,7 +191,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str) -> tuple[str, str]:
     """Train at the base sweep point; writes model.json and trainlog.csv."""
     os.makedirs(out_dir, exist_ok=True)
     if cfg.deployments_dir:
-        deps: object = _deployments_from_dir(cfg)
+        deps: object = _deployments_from_dir(cfg)[: cfg.n_train_deployments]
     else:
         deps = (train_deployment(cfg, i) for i in range(cfg.n_train_deployments))
     params, log = train(cfg.train_config(), deps)
@@ -232,8 +230,8 @@ def evaluate_point(params, cfg: ExperimentConfig, point_idx: int,
     excluded = {m: 0 for m in _METRICS}
     for i in range(cfg.n_eval_deployments):
         dep = eval_deployment(cfg, point_idx, point, i)
-        cap = capacity_matrix(dep)
-        policy_g = greedy_rollout(params, deployment_state(dep, tc, cap))
+        cap = dep.cap
+        policy_g = greedy_rollout(params, deployment_state(dep, tc))
         base_g = max_rsrp_graph(dep, tc.d_max_m)
         row = {"row_type": "deployment", "n_cells": point.n_cells,
                "n_ues": point.n_ues, "density_cells_km2": point.density_cells_km2,

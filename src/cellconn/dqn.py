@@ -22,8 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from cellconn.graph import (ConnectionGraph, capacity_matrix, connect,
-                            initial_graph, input_features)
+from cellconn.graph import ConnectionGraph, connect, initial_graph, input_features
 from cellconn.gnn import (GnnParams, backward, forward, init_params,
                           param_arrays, score_action)
 from cellconn.metrics import (coverage, jain_index, reward_fair,
@@ -41,7 +40,6 @@ class DivergenceError(RuntimeError):
 class TrainConfig:
     """Hyperparameters of the learner; defaults match the bundled benchmark."""
 
-    n_deployments: int = 0              # 0 = use every deployment passed in
     episodes_per_deployment: int = 1
     epsilon: float = 0.1
     alpha: float = 0.1
@@ -224,11 +222,6 @@ class TrainLog:
                                  repr(r.loss_mean)])
 
 
-def episode_candidates(dep: Deployment) -> dict[int, tuple[int, ...]]:
-    """Measurement-report cells for every UE of a deployment."""
-    return {j: measurement_report(dep, j).cells for j in range(dep.n_ues)}
-
-
 def step_reward(kind: str, lam: float, g_prev: ConnectionGraph,
                 g_next: ConnectionGraph, cap: np.ndarray) -> float:
     if kind == "throughput":
@@ -266,14 +259,14 @@ def run_episode(p: GnnParams, cfg: TrainConfig, state: EpisodeState,
     return p, ep_return, losses, state.graph
 
 
-def deployment_state(dep: Deployment, cfg: TrainConfig,
-                     cap: np.ndarray | None = None,
-                     candidates: dict[int, tuple[int, ...]] | None = None) -> EpisodeState:
-    """Initial episode state for a deployment under the given config."""
+def deployment_state(dep: Deployment, cfg: TrainConfig) -> EpisodeState:
+    """Initial episode state for a deployment under the given config; every
+    UE's candidates are the cells of its measurement report."""
     g0, reshuffled = initial_graph(dep, cfg.edge_threshold_db, cfg.d_max_m)
     return EpisodeState(graph=g0, unassigned=reshuffled,
-                        candidates=candidates or episode_candidates(dep),
-                        cap=cap if cap is not None else capacity_matrix(dep))
+                        candidates={j: measurement_report(dep, j).cells
+                                    for j in range(dep.n_ues)},
+                        cap=dep.cap)
 
 
 def train(cfg: TrainConfig, deployments: Iterable[Deployment]) -> tuple[GnnParams, TrainLog]:
@@ -285,8 +278,6 @@ def train(cfg: TrainConfig, deployments: Iterable[Deployment]) -> tuple[GnnParam
     """
     cfg.validate()
     deployments = list(deployments)
-    if cfg.n_deployments > 0:
-        deployments = deployments[: cfg.n_deployments]
     if not deployments:
         raise ValueError("no deployments to train on")
 
@@ -296,16 +287,14 @@ def train(cfg: TrainConfig, deployments: Iterable[Deployment]) -> tuple[GnnParam
     log = TrainLog()
 
     for dep in deployments:
-        cap = capacity_matrix(dep)
-        candidates = episode_candidates(dep)
         for ep in range(cfg.episodes_per_deployment):
-            state = deployment_state(dep, cfg, cap, candidates)
+            state = deployment_state(dep, cfg)
             p, ep_return, losses, final = run_episode(p, cfg, state, buffer, rng,
                                                       cfg.epsilon)
             log.rows.append(EpisodeRow(
                 deployment_id=dep.seed, episode=ep, ep_return=ep_return,
-                u_throughput=sum_throughput(final, cap),
-                u_coverage=coverage(final, cap),
+                u_throughput=sum_throughput(final, dep.cap),
+                u_coverage=coverage(final, dep.cap),
                 u_jain=jain_index(final),
                 epsilon_used=cfg.epsilon,
                 loss_mean=float(np.mean(losses)) if losses else float("nan")))

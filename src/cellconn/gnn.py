@@ -51,18 +51,7 @@ class GnnParams:
         return self.w5.shape[0]
 
 
-@dataclass
-class GnnGradients:
-    """d(score)/d(weight), mirroring the GnnParams layout."""
-
-    w1: list[np.ndarray]
-    w2: list[np.ndarray]
-    w3: list[np.ndarray]
-    w4: np.ndarray
-    w5: np.ndarray
-
-
-def param_arrays(p: GnnParams | GnnGradients) -> list[np.ndarray]:
+def param_arrays(p: GnnParams) -> list[np.ndarray]:
     """All weight arrays in a fixed, documented order."""
     return [*p.w1, *p.w2, *p.w3, p.w4, p.w5]
 
@@ -151,8 +140,9 @@ def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures) -> ForwardTra
     return t
 
 
-def backward(p: GnnParams, t: ForwardTrace) -> GnnGradients:
-    """Gradient of the scalar score w.r.t. every weight, from a forward trace."""
+def backward(p: GnnParams, t: ForwardTrace) -> GnnParams:
+    """Gradient of the scalar score w.r.t. every weight, from a forward trace,
+    laid out as a GnnParams (d(score)/d(weight) in each weight's slot)."""
     n_cells = t.a_cl.shape[0]
     gw5 = _relu(t.z)
     g_z = p.w5 * (t.z > 0)
@@ -177,7 +167,7 @@ def backward(p: GnnParams, t: ForwardTrace) -> GnnGradients:
             g_xu = g_u3 @ p.w3[layer].T
             g_hcl = t.a_cl.T @ g_x1 + t.a_ue @ g_xu
             g_hue = t.a_ue.T @ g_x2
-    return GnnGradients(w1=gw1, w2=gw2, w3=gw3, w4=gw4, w5=gw5)
+    return GnnParams(w1=gw1, w2=gw2, w3=gw3, w4=gw4, w5=gw5)
 
 
 def score_action(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,

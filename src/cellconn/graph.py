@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from cellconn.netmodel import Deployment, rsrp_matrix_dbm, snr_linear
+from cellconn.netmodel import Deployment
 
 DEFAULT_D_MAX_M = 250.0
 FEATURE_NORM_EPS = 1e-9
@@ -21,9 +21,9 @@ UNASSIGNED = -1
 
 
 def capacity_matrix(dep: Deployment) -> np.ndarray:
-    """(n_cells, n_ues) spectral efficiency of every cell-UE link, bit/s/Hz."""
-    snr = snr_linear(rsrp_matrix_dbm(dep), dep.radio)
-    return np.log2(1.0 + snr)
+    """(n_cells, n_ues) spectral efficiency of every cell-UE link, bit/s/Hz
+    (the deployment's read-only array)."""
+    return dep.cap
 
 
 def build_cell_graph(dep: Deployment, d_max_m: float = DEFAULT_D_MAX_M) -> np.ndarray:
@@ -66,13 +66,6 @@ class ConnectionGraph:
         return np.nonzero(self.assign == UNASSIGNED)[0]
 
 
-def empty_graph(dep: Deployment, d_max_m: float = DEFAULT_D_MAX_M) -> ConnectionGraph:
-    """Graph over a deployment with every UE unassigned."""
-    return ConnectionGraph(cell_adj=build_cell_graph(dep, d_max_m),
-                           assign=np.full(dep.n_ues, UNASSIGNED, dtype=np.int64),
-                           d_max_m=d_max_m)
-
-
 def connect(g: ConnectionGraph, cell: int, ue: int) -> ConnectionGraph:
     """Attach an unassigned UE to a cell, returning the new graph.
 
@@ -111,14 +104,6 @@ def ue_rates(g: ConnectionGraph, cap: np.ndarray) -> np.ndarray:
     return rates
 
 
-def rate_matrix(g: ConnectionGraph, cap: np.ndarray) -> np.ndarray:
-    """(n_cells, n_ues) achieved-rate matrix; one nonzero per assigned UE."""
-    r = np.zeros_like(cap)
-    served = g.assigned_ues()
-    r[g.assign[served], served] = ue_rates(g, cap)[served]
-    return r
-
-
 @dataclass(frozen=True)
 class NodeFeatures:
     """Per-node GNN inputs, already normalized.
@@ -153,8 +138,7 @@ def classify_ues(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_D
     """
     if dep.n_cells == 1:
         return [UeClass.CELL_CENTER] * dep.n_ues
-    rsrp = rsrp_matrix_dbm(dep)
-    top2 = -np.partition(-rsrp, 1, axis=0)[:2, :]
+    top2 = -np.partition(-dep.rsrp_dbm, 1, axis=0)[:2, :]
     gap = top2[0] - top2[1]
     return [UeClass.CELL_EDGE if gap[j] < threshold_db else UeClass.CELL_CENTER
             for j in range(dep.n_ues)]
@@ -169,12 +153,11 @@ def initial_graph(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_
     set, in ascending UE order.
     """
     labels = classify_ues(dep, threshold_db)
-    rsrp = rsrp_matrix_dbm(dep)
     assign = np.full(dep.n_ues, UNASSIGNED, dtype=np.int64)
     reshuffled = []
     for j in range(dep.n_ues):
         if labels[j] is UeClass.CELL_CENTER:
-            assign[j] = int(np.argmax(rsrp[:, j]))
+            assign[j] = int(np.argmax(dep.rsrp_dbm[:, j]))
         else:
             reshuffled.append(j)
     g = ConnectionGraph(cell_adj=build_cell_graph(dep, d_max_m), assign=assign,

@@ -52,6 +52,10 @@ class Deployment:
         cells: (n_cells, 2) float array of cell positions, meters.
         ues: (n_ues, 2) float array of user positions, meters.
         shadow_db: (n_cells, n_ues) frozen shadowing realization, dB.
+        rsrp_dbm: (n_cells, n_ues) RSRP map, dBm: TX power - path loss -
+            shadowing.  Derived on construction, read-only.
+        cap: (n_cells, n_ues) Shannon spectral efficiency log2(1 + SNR) of
+            every cell-UE link, bit/s/Hz.  Derived on construction, read-only.
     """
 
     seed: int
@@ -60,6 +64,17 @@ class Deployment:
     cells: np.ndarray
     ues: np.ndarray
     shadow_db: np.ndarray
+    rsrp_dbm: np.ndarray = field(init=False, repr=False, compare=False)
+    cap: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        pl = pathloss_db(distance_3d_m(self), self.radio.carrier_ghz)
+        rsrp = self.radio.tx_power_dbm - pl - self.shadow_db
+        cap = np.log2(1.0 + snr_linear(rsrp, self.radio))
+        rsrp.setflags(write=False)
+        cap.setflags(write=False)
+        object.__setattr__(self, "rsrp_dbm", rsrp)
+        object.__setattr__(self, "cap", cap)
 
     @property
     def n_cells(self) -> int:
@@ -175,23 +190,16 @@ def distance_3d_m(dep: Deployment) -> np.ndarray:
 
 def rsrp_dbm(dep: Deployment, cell: int, ue: int) -> float:
     """Received power from one cell at one UE: TX power - path loss - shadowing."""
-    return float(rsrp_matrix_dbm(dep)[cell, ue])
+    return float(dep.rsrp_dbm[cell, ue])
 
 
 def rsrp_matrix_dbm(dep: Deployment) -> np.ndarray:
-    """(n_cells, n_ues) RSRP map in dBm."""
-    pl = pathloss_db(distance_3d_m(dep), dep.radio.carrier_ghz)
-    return dep.radio.tx_power_dbm - pl - dep.shadow_db
+    """(n_cells, n_ues) RSRP map in dBm (the deployment's read-only array)."""
+    return dep.rsrp_dbm
 
 
 def snr_linear(rsrp: np.ndarray | float, radio: RadioConfig):
     return np.power(10.0, (np.asarray(rsrp) - radio.noise_dbm()) / 10.0)
-
-
-def link_capacity(dep: Deployment, cell: int, ue: int) -> float:
-    """Shannon spectral efficiency log2(1 + SNR) of one cell-UE link, bit/s/Hz."""
-    snr = snr_linear(rsrp_dbm(dep, cell, ue), dep.radio)
-    return float(np.log2(1.0 + snr))
 
 
 @dataclass(frozen=True)
@@ -211,7 +219,7 @@ def measurement_report(dep: Deployment, ue: int) -> MeasurementReport:
     """
     if not 0 <= ue < dep.n_ues:
         raise ValueError(f"UE index {ue} out of range [0, {dep.n_ues})")
-    rsrp = rsrp_matrix_dbm(dep)[:, ue]
+    rsrp = dep.rsrp_dbm[:, ue]
     order = sorted(range(dep.n_cells), key=lambda c: (-rsrp[c], c))
     top = order[: min(dep.radio.report_set_size, dep.n_cells)]
     return MeasurementReport(ue=ue, cells=tuple(top),

@@ -20,16 +20,14 @@ import numpy as np
 
 from cellconn.dqn import EpisodeState, greedy_rollout
 from cellconn.gnn import GnnParams, load_model
-from cellconn.graph import (DEFAULT_D_MAX_M, DEFAULT_EDGE_THRESHOLD_DB, UNASSIGNED,
-                            ConnectionGraph, UeClass, capacity_matrix, classify_ues,
-                            empty_graph, initial_graph)
+from cellconn.graph import (DEFAULT_D_MAX_M, UNASSIGNED, ConnectionGraph,
+                            build_cell_graph, initial_graph)
 from cellconn.netmodel import (Deployment, MeasurementReport, load_deployment,
-                               measurement_report, rsrp_matrix_dbm)
+                               measurement_report)
 
 __all__ = [
-    "UeClass", "classify_ues", "initial_graph", "HandoverEvent", "SubGraph",
-    "extract_subgraph", "handle_event", "max_rsrp_policy", "max_rsrp_graph",
-    "serve", "serve_stream",
+    "HandoverEvent", "SubGraph", "extract_subgraph", "handle_event",
+    "max_rsrp_policy", "max_rsrp_graph", "serve", "serve_stream",
 ]
 
 
@@ -67,8 +65,7 @@ def _bfs_cells(cell_adj: np.ndarray, seeds: list[int], hops: int) -> list[int]:
     return sorted(keep)
 
 
-def extract_subgraph(dep: Deployment, g: ConnectionGraph, event: HandoverEvent,
-                     hops: int) -> SubGraph:
+def extract_subgraph(g: ConnectionGraph, event: HandoverEvent, hops: int) -> SubGraph:
     """Cut out the event's neighborhood: reported cells, their <=hops-hop
     neighbor cells, the UEs served by those cells, and the event UE itself.
 
@@ -99,32 +96,24 @@ def extract_subgraph(dep: Deployment, g: ConnectionGraph, event: HandoverEvent,
 
 
 def handle_event(p: GnnParams, dep: Deployment, g: ConnectionGraph,
-                 event: HandoverEvent, cap: np.ndarray | None = None,
-                 threshold_db: float = DEFAULT_EDGE_THRESHOLD_DB,
-                 hops: int | None = None) -> list[tuple[int, int]]:
+                 event: HandoverEvent, edge_ues: frozenset[int]) -> list[tuple[int, int]]:
     """Decide assignments for the event's neighborhood.
 
-    Inside the subgraph, cell-edge UEs (plus the event UE, always) are
-    detached and reassigned greedily with the Q-network.  Returns the new
-    (ue, cell) pairs in global indices, ascending by UE; UEs outside the
-    reshuffled set keep their cells.
+    The subgraph reaches as many hops as the Q-network has message-passing
+    rounds.  Inside it, the cell-edge UEs (``edge_ues``) plus the event UE,
+    always, are detached and reassigned greedily with the Q-network.
+    Returns the new (ue, cell) pairs in global indices, ascending by UE; UEs
+    outside the reshuffled set keep their cells.
     """
-    if hops is None:
-        hops = p.n_layers
-    if cap is None:
-        cap = capacity_matrix(dep)
-    sub = extract_subgraph(dep, g, event, hops)
-    labels = classify_ues(dep, threshold_db)
-
-    reshuffled = [u for u in sub.kept_ues
-                  if u == event.ue or labels[u] is UeClass.CELL_EDGE]
+    sub = extract_subgraph(g, event, p.n_layers)
+    reshuffled = [u for u in sub.kept_ues if u == event.ue or u in edge_ues]
     assign = sub.graph.assign.copy()
     for u in reshuffled:
         assign[sub.ue_to_local[u]] = UNASSIGNED
     start = replace(sub.graph, assign=assign)
 
     kept_set = set(sub.kept_cells)
-    rsrp = rsrp_matrix_dbm(dep)
+    rsrp = dep.rsrp_dbm
     candidates: dict[int, tuple[int, ...]] = {}
     for u in reshuffled:
         cells = event.report.cells if u == event.ue else measurement_report(dep, u).cells
@@ -138,27 +127,22 @@ def handle_event(p: GnnParams, dep: Deployment, g: ConnectionGraph,
     state = EpisodeState(graph=start,
                          unassigned=tuple(sorted(sub.ue_to_local[u] for u in reshuffled)),
                          candidates=candidates,
-                         cap=cap[np.ix_(sub.kept_cells, sub.kept_ues)])
+                         cap=dep.cap[np.ix_(sub.kept_cells, sub.kept_ues)])
     final = greedy_rollout(p, state)
     return [(sub.kept_ues[lu], sub.kept_cells[final.assign[lu]])
             for lu in sorted(sub.ue_to_local[u] for u in reshuffled)]
 
 
-def max_rsrp_policy(dep: Deployment, ues: list[int] | None = None) -> list[tuple[int, int]]:
+def max_rsrp_policy(dep: Deployment) -> list[tuple[int, int]]:
     """Greedy baseline: every UE takes its strongest cell (ties: lower index)."""
-    rsrp = rsrp_matrix_dbm(dep)
-    if ues is None:
-        ues = list(range(dep.n_ues))
-    return [(u, int(np.argmax(rsrp[:, u]))) for u in ues]
+    return [(u, int(c)) for u, c in enumerate(np.argmax(dep.rsrp_dbm, axis=0))]
 
 
 def max_rsrp_graph(dep: Deployment, d_max_m: float = DEFAULT_D_MAX_M) -> ConnectionGraph:
     """Full assignment of a deployment under the max-RSRP baseline."""
-    g = empty_graph(dep, d_max_m)
-    assign = g.assign.copy()
-    for u, c in max_rsrp_policy(dep):
-        assign[u] = c
-    return replace(g, assign=assign)
+    return ConnectionGraph(cell_adj=build_cell_graph(dep, d_max_m),
+                           assign=np.argmax(dep.rsrp_dbm, axis=0).astype(np.int64),
+                           d_max_m=d_max_m)
 
 
 def _parse_request(line: str, n_cells: int, n_ues: int) -> HandoverEvent:
@@ -167,6 +151,8 @@ def _parse_request(line: str, n_cells: int, n_ues: int) -> HandoverEvent:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise ValueError("bad JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("request must be a JSON object")
     if doc.get("type") != "handover":
@@ -194,19 +180,17 @@ def _parse_request(line: str, n_cells: int, n_ues: int) -> HandoverEvent:
         rsrp_dbm=tuple(v for _, v in entries)))
 
 
-def serve_stream(p: GnnParams, dep: Deployment, rfile, wfile,
-                 threshold_db: float = DEFAULT_EDGE_THRESHOLD_DB,
-                 hops: int | None = None,
-                 d_max_m: float = DEFAULT_D_MAX_M) -> int:
+def serve_stream(p: GnnParams, dep: Deployment, rfile, wfile) -> int:
     """Answer newline-delimited JSON handover requests until EOF.
 
     Every input line gets exactly one response line: either the decided
     assignments or an ``{"error": ...}`` object.  The connection graph starts
-    from the deployment's initial state and commits each answer.  Returns the
-    number of lines processed.
+    from the deployment's initial state (3 dB cell-edge threshold, 250 m cell
+    adjacency) and commits each answer; its cell-edge UEs are the ones every
+    event may reshuffle.  Returns the number of lines processed.
     """
-    cap = capacity_matrix(dep)
-    g, _ = initial_graph(dep, threshold_db, d_max_m)
+    g, edge = initial_graph(dep)
+    edge_ues = frozenset(edge)
     handled = 0
     for line in rfile:
         handled += 1
@@ -215,7 +199,7 @@ def serve_stream(p: GnnParams, dep: Deployment, rfile, wfile,
             if not line.strip():
                 raise ValueError("empty request line")
             event = _parse_request(line, dep.n_cells, dep.n_ues)
-            pairs = handle_event(p, dep, g, event, cap, threshold_db, hops)
+            pairs = handle_event(p, dep, g, event, edge_ues)
             assign = g.assign.copy()
             for u, c in pairs:
                 assign[u] = c
@@ -230,15 +214,13 @@ def serve_stream(p: GnnParams, dep: Deployment, rfile, wfile,
     return handled
 
 
-def serve(model_path: str, deployment_path: str, endpoint: str = "-",
-          threshold_db: float = DEFAULT_EDGE_THRESHOLD_DB,
-          hops: int | None = None) -> None:
+def serve(model_path: str, deployment_path: str, endpoint: str = "-") -> None:
     """Run the handover service on stdin/stdout ("-") or a TCP endpoint
     ("host:port"); TCP connections are served one at a time."""
     p = load_model(model_path)
     dep = load_deployment(deployment_path)
     if endpoint == "-":
-        serve_stream(p, dep, sys.stdin, sys.stdout, threshold_db, hops)
+        serve_stream(p, dep, sys.stdin, sys.stdout)
         return
     host, _, port = endpoint.rpartition(":")
     if not host or not port.isdigit():
@@ -249,4 +231,4 @@ def serve(model_path: str, deployment_path: str, endpoint: str = "-",
             with conn:
                 rf = conn.makefile("r", encoding="utf-8")
                 wf = conn.makefile("w", encoding="utf-8")
-                serve_stream(p, dep, rf, wf, threshold_db, hops)
+                serve_stream(p, dep, rf, wf)

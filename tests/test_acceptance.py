@@ -177,7 +177,7 @@ def test_criterion_4_policy_near_exhaustive_optimum_on_micro_instances():
         for i in range(100):
             dep = generate_deployment(90_000 + i, 2, 4)
             cap = capacity_matrix(dep)
-            g = greedy_rollout(params, deployment_state(dep, cfg, cap))
+            g = greedy_rollout(params, deployment_state(dep, cfg))
             policy_u.append(_kind_utility(kind, g, cap))
             best = -math.inf
             for assign in itertools.product(range(2), repeat=4):
@@ -204,7 +204,7 @@ def _desk_gains(kind: str) -> dict[str, float]:
     for i in range(50):
         dep = generate_deployment(1_000_000 + i, 6, 30)
         cap = capacity_matrix(dep)
-        g = greedy_rollout(params, deployment_state(dep, cfg, cap))
+        g = greedy_rollout(params, deployment_state(dep, cfg))
         b = max_rsrp_graph(dep)
         gains["throughput"].append(
             100.0 * (sum_throughput(g, cap) - sum_throughput(b, cap))

@@ -172,6 +172,17 @@ def test_train_from_generated_deployment_dir(tmp_path):
     assert ids == [cfg.seed + i for i in range(3)]
 
 
+def test_train_from_deployment_dir_respects_n_train_deployments(tmp_path):
+    cmd_generate(config_from_dict(micro_doc(n_train_deployments=5)),
+                 str(tmp_path / "data"))
+    cfg = config_from_dict(micro_doc(n_train_deployments=2,
+                                     deployments_dir=str(tmp_path / "data")))
+    _, log_path = cmd_train(cfg, str(tmp_path / "run"))
+    with open(log_path, encoding="utf-8", newline="") as fh:
+        ids = [int(r["deployment_id"]) for r in csv.DictReader(fh)]
+    assert ids == [cfg.seed, cfg.seed + 1]
+
+
 def test_train_missing_deployment_dir_errors(tmp_path):
     cfg = config_from_dict(micro_doc(deployments_dir=str(tmp_path / "nowhere")))
     with pytest.raises(UsageError, match="manifest"):

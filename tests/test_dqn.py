@@ -393,13 +393,6 @@ def test_train_alpha_zero_keeps_initial_params():
     assert all(math.isfinite(r.ep_return) for r in log.rows)
 
 
-def test_train_respects_n_deployments():
-    cfg = micro_train_cfg(n_deployments=2)
-    deps = [generate_deployment(300 + i, 2, 4) for i in range(5)]
-    _, log = train(cfg, deps)
-    assert sorted({r.deployment_id for r in log.rows}) == [300, 301]
-
-
 def test_train_no_deployments_raises():
     with pytest.raises(ValueError):
         train(micro_train_cfg(), [])

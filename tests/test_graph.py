@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from cellconn.graph import (UNASSIGNED, ConnectionGraph, UeClass, build_cell_graph,
-                            capacity_matrix, classify_ues, connect, empty_graph,
-                            initial_graph, input_features, rate_matrix, ue_adjacency,
-                            ue_rates)
+                            capacity_matrix, classify_ues, connect, initial_graph,
+                            input_features, ue_adjacency, ue_rates)
 from cellconn.metrics import sum_throughput
-from cellconn.netmodel import generate_deployment, link_capacity, rsrp_matrix_dbm
+from cellconn.netmodel import generate_deployment, rsrp_dbm, rsrp_matrix_dbm, snr_linear
 
 from conftest import deployment_with_rsrp, make_deployment, make_graph
 
@@ -18,7 +17,7 @@ def test_capacity_matrix_matches_scalar_op():
     cap = capacity_matrix(dep)
     assert cap.shape == (4, 6)
     for c, u in [(0, 0), (1, 3), (3, 5)]:
-        assert cap[c, u] == link_capacity(dep, c, u)
+        assert cap[c, u] == np.log2(1.0 + snr_linear(rsrp_dbm(dep, c, u), dep.radio))
     assert np.all(cap >= 0) and np.all(np.isfinite(cap))
 
 
@@ -84,26 +83,26 @@ def test_rates_share_capacity_evenly():
     # one cell, two UEs, both capacity 4.0 → each gets 2.0
     g = make_graph(1, [0, 0])
     cap = np.array([[4.0, 4.0]])
-    r = rate_matrix(g, cap)
-    assert r[0, 0] == r[0, 1] == 2.0
+    r = ue_rates(g, cap)
+    assert r[0] == r[1] == 2.0
 
 
 def test_rates_single_ue_full_capacity():
     g = make_graph(1, [0])
-    assert rate_matrix(g, np.array([[3.5]]))[0, 0] == 3.5
+    assert ue_rates(g, np.array([[3.5]]))[0] == 3.5
 
 
 def test_rates_zero_for_unassigned():
     g = make_graph(2, [0, None])
-    r = rate_matrix(g, np.array([[4.0, 6.0], [1.0, 2.0]]))
-    assert np.all(r[:, 1] == 0)
+    r = ue_rates(g, np.array([[4.0, 6.0], [1.0, 2.0]]))
+    assert r[1] == 0
 
 
 def test_rate_sum_consistent_with_throughput_metric():
     dep = generate_deployment(21, 4, 10)
     cap = capacity_matrix(dep)
     g = make_graph(4, [j % 3 for j in range(10)], build_cell_graph(dep))
-    assert float(rate_matrix(g, cap).sum()) == pytest.approx(
+    assert float(ue_rates(g, cap).sum()) == pytest.approx(
         sum_throughput(g, cap), rel=1e-12)
 
 
@@ -135,7 +134,7 @@ def test_features_single_link_instance():
 def test_features_all_unassigned():
     dep = generate_deployment(33, 3, 5)
     cap = capacity_matrix(dep)
-    f = input_features(empty_graph(dep), cap)
+    f = input_features(make_graph(3, [None] * 5, build_cell_graph(dep)), cap)
     assert np.all(f.cell_rate == 0)         # rate-derived block vanishes
     assert np.all(f.ue[:, 1] == 0)          # per-UE rate column vanishes
     expected = cap.sum(axis=0) / (cap.mean() + 1e-9)
@@ -226,5 +225,7 @@ def test_ue_rates_helper_matches_matrix():
     dep = generate_deployment(44, 3, 7)
     cap = capacity_matrix(dep)
     g = make_graph(3, [0, 1, 1, None, 2, 2, 2], build_cell_graph(dep))
-    assert np.allclose(ue_rates(g, cap), rate_matrix(g, cap).sum(axis=0),
-                       atol=1e-15)
+    loads = g.loads()
+    want = [cap[c, j] / loads[c] if c != UNASSIGNED else 0.0
+            for j, c in enumerate(g.assign)]
+    assert ue_rates(g, cap).tolist() == want

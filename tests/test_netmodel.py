@@ -1,5 +1,7 @@
 """Radio model: sampling, link budget, reports, serialization."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from cellconn.netmodel import (CELL_HEIGHT_M, UE_HEIGHT_M, Deployment,
                                MeasurementReport, PlacementError, RadioConfig,
                                distance_3d_m, generate_deployment, hex_vertices,
-                               in_hexagon, link_capacity, load_deployment,
+                               in_hexagon, load_deployment,
                                measurement_report, pathloss_db, rsrp_dbm,
                                rsrp_matrix_dbm, save_deployment, snr_linear)
 
@@ -56,14 +58,14 @@ def test_capacity_known_snrs():
     for snr, expected in [(1.0, 1.0), (3.0, 2.0)]:
         rsrp = radio.noise_dbm() + 10.0 * math.log10(snr)
         dep = deployment_with_rsrp([[rsrp]])
-        assert link_capacity(dep, 0, 0) == pytest.approx(expected, rel=1e-12)
+        assert dep.cap[0, 0] == pytest.approx(expected, rel=1e-12)
     assert float(np.log2(1.0 + 0.0)) == 0.0  # SNR→0 limit of the formula
 
 
 def test_capacity_monotone_in_rsrp(rng):
     radio = RadioConfig()
     rsrps = np.sort(rng.uniform(-120, -30, size=40))
-    caps = [link_capacity(deployment_with_rsrp([[r]]), 0, 0) for r in rsrps]
+    caps = [deployment_with_rsrp([[r]]).cap[0, 0] for r in rsrps]
     assert all(b >= a for a, b in zip(caps, caps[1:]))
 
 
@@ -166,6 +168,30 @@ def test_deployment_roundtrip(tmp_path):
     assert np.array_equal(back.cells, dep.cells)
     assert np.array_equal(back.ues, dep.ues)
     assert np.array_equal(back.shadow_db, dep.shadow_db)
+    assert np.array_equal(back.rsrp_dbm, dep.rsrp_dbm)
+    assert np.array_equal(back.cap, dep.cap)
+    # the derived radio arrays are not part of the file format
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert list(doc) == ["seed", "hex_diameter_m", "radio", "cells", "ues", "shadow_db"]
+
+
+def test_stored_radio_arrays_match_closed_form_and_are_read_only():
+    dep = generate_deployment(6, 5, 11)
+    pl = pathloss_db(distance_3d_m(dep), dep.radio.carrier_ghz)
+    rsrp = dep.radio.tx_power_dbm - pl - dep.shadow_db
+    assert np.array_equal(dep.rsrp_dbm, rsrp)
+    assert np.array_equal(dep.cap, np.log2(1.0 + snr_linear(rsrp, dep.radio)))
+    assert rsrp_matrix_dbm(dep) is dep.rsrp_dbm
+    for arr in (dep.rsrp_dbm, dep.cap):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+
+
+def test_replace_recomputes_stored_radio_arrays():
+    dep = generate_deployment(6, 3, 4)
+    moved = dataclasses.replace(dep, shadow_db=dep.shadow_db + 10.0)
+    assert np.allclose(moved.rsrp_dbm, dep.rsrp_dbm - 10.0, rtol=0, atol=1e-12)
+    assert np.all(moved.cap < dep.cap)
 
 
 def test_rsrp_scalar_matches_matrix():

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import cellconn.netmodel as netmodel
 from cellconn.dqn import TrainConfig, train
 from cellconn.gnn import GnnParams, init_params
 from cellconn.graph import UNASSIGNED, UeClass, capacity_matrix, classify_ues, initial_graph
@@ -45,20 +46,18 @@ def report(ue: int, cells: tuple[int, ...]) -> MeasurementReport:
 # ------------------------------------------------------------- subgraphs ---
 
 def test_subgraph_fully_connected_keeps_all_cells():
-    dep = generate_deployment(0, 4, 3)
     adj = 1.0 - np.eye(4)
     g = make_graph(4, [0, 1, 2], cell_adj=adj)
     ev = HandoverEvent(ue=0, report=report(0, (2,)))
-    sub = extract_subgraph(dep, g, ev, hops=2)
+    sub = extract_subgraph(g, ev, hops=2)
     assert sub.kept_cells == (0, 1, 2, 3)
     assert sub.kept_ues == (0, 1, 2)
 
 
 def test_subgraph_isolated_cell():
-    dep = generate_deployment(1, 3, 5)
     g = make_graph(3, [0, 1, 1, 2, None])
     ev = HandoverEvent(ue=4, report=report(4, (1,)))
-    sub = extract_subgraph(dep, g, ev, hops=2)
+    sub = extract_subgraph(g, ev, hops=2)
     assert sub.kept_cells == (1,)
     assert sub.kept_ues == (1, 2, 4)  # cell 1's UEs plus the event UE
     # embedded assignment: both served UEs point at local cell 0, event UE free
@@ -66,12 +65,11 @@ def test_subgraph_isolated_cell():
 
 
 def test_subgraph_line_graph_bfs_depth():
-    dep = generate_deployment(2, 4, 2)
     g = make_graph(4, [0, 3], cell_adj=line_adjacency(4))
     ev = HandoverEvent(ue=0, report=report(0, (0,)))
-    assert extract_subgraph(dep, g, ev, hops=1).kept_cells == (0, 1)
-    assert extract_subgraph(dep, g, ev, hops=2).kept_cells == (0, 1, 2)
-    assert extract_subgraph(dep, g, ev, hops=3).kept_cells == (0, 1, 2, 3)
+    assert extract_subgraph(g, ev, hops=1).kept_cells == (0, 1)
+    assert extract_subgraph(g, ev, hops=2).kept_cells == (0, 1, 2)
+    assert extract_subgraph(g, ev, hops=3).kept_cells == (0, 1, 2, 3)
 
 
 def test_subgraph_monotone_in_hops(rng):
@@ -80,22 +78,20 @@ def test_subgraph_monotone_in_hops(rng):
     for i in range(n):
         for k in range(i + 1, n):
             adj[i, k] = adj[k, i] = float(rng.random() < 0.4)
-    dep = generate_deployment(3, n, 8)
     g = make_graph(n, [int(rng.integers(0, n)) for _ in range(8)], cell_adj=adj)
     ev = HandoverEvent(ue=2, report=report(2, (4, 0)))
     prev: set[int] = set()
     for hops in (1, 2, 3, 4):
-        kept = set(extract_subgraph(dep, g, ev, hops).kept_cells)
+        kept = set(extract_subgraph(g, ev, hops).kept_cells)
         assert {4, 0} <= kept          # superset of the reported cells
         assert prev <= kept            # nondecreasing in the hop budget
         prev = kept
 
 
 def test_subgraph_index_maps_round_trip():
-    dep = generate_deployment(4, 4, 6)
     g = make_graph(4, [0, 0, 2, None, 2, 1], cell_adj=line_adjacency(4))
     ev = HandoverEvent(ue=3, report=report(3, (2,)))
-    sub = extract_subgraph(dep, g, ev, hops=1)
+    sub = extract_subgraph(g, ev, hops=1)
     for c in sub.kept_cells:
         assert sub.kept_cells[sub.cell_to_local[c]] == c
     for u in sub.kept_ues:
@@ -108,12 +104,11 @@ def test_subgraph_index_maps_round_trip():
 
 
 def test_subgraph_rejects_bad_events():
-    dep = generate_deployment(5, 2, 3)
     g = make_graph(2, [0, 1, None])
     with pytest.raises(ValueError):
-        extract_subgraph(dep, g, HandoverEvent(ue=9, report=report(9, (0,))), 2)
+        extract_subgraph(g, HandoverEvent(ue=9, report=report(9, (0,))), 2)
     with pytest.raises(ValueError):
-        extract_subgraph(dep, g, HandoverEvent(ue=0, report=report(0, ())), 2)
+        extract_subgraph(g, HandoverEvent(ue=0, report=report(0, ())), 2)
 
 
 # ----------------------------------------------------------- event logic ---
@@ -123,7 +118,7 @@ def test_handle_event_zero_params_completes_assignment():
     g0, reshuffled = initial_graph(dep, 3.0, 250.0)
     ue = reshuffled[0] if reshuffled else 0
     ev = event_for(dep, ue)
-    pairs = handle_event(zeros_params(), dep, g0, ev)
+    pairs = handle_event(zeros_params(), dep, g0, ev, frozenset(reshuffled))
     ues = [u for u, _ in pairs]
     assert ue in ues
     assert ues == sorted(ues) and len(set(ues)) == len(ues)
@@ -131,7 +126,8 @@ def test_handle_event_zero_params_completes_assignment():
     assert set(ues) == want  # 2-cell network: the subgraph sees everyone
     for _, c in pairs:
         assert 0 <= c < dep.n_cells
-    assert handle_event(zeros_params(), dep, g0, ev) == pairs  # deterministic
+    # deterministic
+    assert handle_event(zeros_params(), dep, g0, ev, frozenset(reshuffled)) == pairs
 
 
 def test_handle_event_single_candidate_forced():
@@ -141,7 +137,7 @@ def test_handle_event_single_candidate_forced():
     g0, reshuffled = initial_graph(dep, 3.0, 250.0)
     assert reshuffled == ()  # both UEs are comfortably single-cell dominant
     ev = HandoverEvent(ue=1, report=report(1, (1,)))
-    assert handle_event(zeros_params(), dep, g0, ev) == [(1, 1)]
+    assert handle_event(zeros_params(), dep, g0, ev, frozenset()) == [(1, 1)]
 
 
 def test_handle_event_leaves_settled_ues_alone():
@@ -151,7 +147,7 @@ def test_handle_event_leaves_settled_ues_alone():
         g0, reshuffled = initial_graph(dep, 3.0, 250.0)
         labels = classify_ues(dep, 3.0)
         ue = reshuffled[0] if reshuffled else 0
-        pairs = handle_event(p, dep, g0, event_for(dep, ue))
+        pairs = handle_event(p, dep, g0, event_for(dep, ue), frozenset(reshuffled))
         touched = {u for u, _ in pairs}
         for u in range(dep.n_ues):
             if u != ue and labels[u] is UeClass.CELL_CENTER:
@@ -171,7 +167,9 @@ def test_handle_event_report_outside_subgraph_falls_back():
     assert measurement_report(dep, 0).cells == (1, 2, 3, 4)
     g = make_graph(5, [0, None])
     ev = HandoverEvent(ue=1, report=report(1, (0,)))
-    pairs = handle_event(zeros_params(), dep, g, ev)
+    _, edge = initial_graph(dep)
+    assert edge == (0,)
+    pairs = handle_event(zeros_params(), dep, g, ev, frozenset(edge))
     assert pairs == [(0, 0), (1, 0)]
 
 
@@ -186,7 +184,7 @@ def test_handle_event_trained_model_beats_or_ties_baseline():
         cap = capacity_matrix(dep)
         g0, reshuffled = initial_graph(dep, 3.0, 250.0)
         ue = reshuffled[0] if reshuffled else 0
-        pairs = handle_event(p, dep, g0, event_for(dep, ue), cap)
+        pairs = handle_event(p, dep, g0, event_for(dep, ue), frozenset(reshuffled))
         assign = g0.assign.copy()
         for u, c in pairs:
             assign[u] = c
@@ -210,8 +208,10 @@ def test_max_rsrp_picks_strongest_with_index_ties():
 def test_max_rsrp_subset_and_independence():
     dep = generate_deployment(17, 3, 6)
     full = dict(max_rsrp_policy(dep))
-    some = max_rsrp_policy(dep, ues=[4, 1])
-    assert some == [(4, full[4]), (1, full[1])]
+    assert sorted(full) == list(range(dep.n_ues))
+    some = make_deployment(dep.cells, dep.ues[[4, 1]], dep.shadow_db[:, [4, 1]],
+                           radio=dep.radio)
+    assert max_rsrp_policy(some) == [(0, full[4]), (1, full[1])]
 
 
 def test_max_rsrp_permutation_equivariant(rng):
@@ -282,3 +282,26 @@ def test_serve_stream_replay_is_deterministic():
     first, second = run_lines([req, req], p=init_params(8, 2, 8, 0.3))
     assert first["assignments"] == second["assignments"]
     assert first["ue"] == second["ue"] == 2
+
+
+def test_serve_stream_survives_deeply_nested_line():
+    good = json.dumps({"type": "handover", "ue": 1,
+                       "rsrp_dbm": {"0": -61.0, "1": -64.5}})
+    replies = run_lines(["[" * 100_000, good])
+    assert "bad JSON" in replies[0]["error"]
+    assert replies[1]["ue"] == 1 and replies[1]["assignments"]
+
+
+def test_serve_stream_never_recomputes_distances(monkeypatch):
+    dep = generate_deployment(41, 3, 12)
+    calls = []
+    real = netmodel.distance_3d_m
+    monkeypatch.setattr(netmodel, "distance_3d_m",
+                        lambda d: calls.append(1) or real(d))
+    lines = [json.dumps({"type": "handover", "ue": ue,
+                         "rsrp_dbm": {str(c): v for c, v in
+                                      zip(r.cells, r.rsrp_dbm)}})
+             for ue in range(10) for r in [measurement_report(dep, ue)]]
+    replies = run_lines(lines, dep=dep, p=init_params(8, 2, 8, 0.3))
+    assert all("assignments" in r for r in replies)
+    assert calls == []

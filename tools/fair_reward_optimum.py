@@ -19,7 +19,7 @@ import statistics
 from functools import lru_cache
 
 from cellconn.dqn import TrainConfig, deployment_state
-from cellconn.graph import ConnectionGraph, capacity_matrix
+from cellconn.graph import ConnectionGraph
 from cellconn.metrics import coverage, fair_bonus, jain_index, sum_throughput
 from cellconn.netmodel import generate_deployment
 from cellconn.xapp import max_rsrp_graph
@@ -70,8 +70,8 @@ def main() -> None:
     gains: dict[str, list[float]] = {"throughput": [], "coverage": [], "jain": []}
     for seed in SEEDS:
         dep = generate_deployment(seed, 6, 30)
-        cap = capacity_matrix(dep)
-        state = deployment_state(dep, cfg, cap)
+        cap = dep.cap
+        state = deployment_state(dep, cfg)
         if len(state.unassigned) > MAX_EDGE_UES:
             continue
         g = optimal_final_graph(state, cfg.lambda_fair)
