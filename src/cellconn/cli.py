@@ -144,31 +144,19 @@ def eval_deployment(cfg: ExperimentConfig, point_idx: int, point: SweepPoint,
 
 
 def cmd_generate(cfg: ExperimentConfig, out_dir: str) -> str:
-    """Write every train/eval deployment as JSON plus a manifest; returns the
-    manifest path."""
-    dep_root = os.path.join(out_dir, "deployments")
-    train_dir = os.path.join(dep_root, "train")
+    """Write every training deployment as JSON plus a manifest; returns the
+    manifest path.  Eval deployments are not written: ``eval`` regenerates
+    each one from its seed."""
+    train_dir = os.path.join(out_dir, "deployments", "train")
     os.makedirs(train_dir, exist_ok=True)
     manifest: dict = {"hex_diameter_m": cfg.hex_diameter_m, "seed": cfg.seed,
-                      "train": [], "eval": []}
+                      "train": []}
     for i in range(cfg.n_train_deployments):
         dep = train_deployment(cfg, i)
         rel = os.path.join("deployments", "train", f"dep_{dep.seed}.json")
         save_deployment(dep, os.path.join(out_dir, rel))
         manifest["train"].append({"seed": dep.seed, "n_cells": dep.n_cells,
                                   "n_ues": dep.n_ues, "file": rel})
-    for pi, point in enumerate(sweep_points(cfg)):
-        point_dir = os.path.join(dep_root, f"eval_{point.n_cells}c_{point.n_ues}u")
-        os.makedirs(point_dir, exist_ok=True)
-        entry = {"n_cells": point.n_cells, "n_ues": point.n_ues,
-                 "density_cells_km2": point.density_cells_km2, "files": []}
-        for i in range(cfg.n_eval_deployments):
-            dep = eval_deployment(cfg, pi, point, i)
-            rel = os.path.join("deployments", f"eval_{point.n_cells}c_{point.n_ues}u",
-                               f"dep_{dep.seed}.json")
-            save_deployment(dep, os.path.join(out_dir, rel))
-            entry["files"].append({"seed": dep.seed, "file": rel})
-        manifest["eval"].append(entry)
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
@@ -274,17 +262,8 @@ def cmd_eval(cfg: ExperimentConfig, model_path: str, out_dir: str) -> str:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=GAIN_COLUMNS, restval="")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
+        writer.writerows(rows)
     return path
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -208,18 +208,14 @@ class TrainLog:
 
     rows: list[EpisodeRow] = field(default_factory=list)
 
-    COLUMNS = ("deployment_id", "episode", "ep_return", "u_throughput",
-               "u_coverage", "u_jain", "epsilon_used", "loss_mean")
+    COLUMNS = tuple(f.name for f in fields(EpisodeRow))
 
     def to_csv(self, path: str) -> None:
+        """Header plus one row per episode; floats are written with repr."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.COLUMNS)
-            for r in self.rows:
-                writer.writerow([r.deployment_id, r.episode, repr(r.ep_return),
-                                 repr(r.u_throughput), repr(r.u_coverage),
-                                 repr(r.u_jain), repr(r.epsilon_used),
-                                 repr(r.loss_mean)])
+            writer.writerows(astuple(r) for r in self.rows)
 
 
 def step_reward(kind: str, lam: float, g_prev: ConnectionGraph,
@@ -260,12 +256,12 @@ def run_episode(p: GnnParams, cfg: TrainConfig, state: EpisodeState,
 
 
 def deployment_state(dep: Deployment, cfg: TrainConfig) -> EpisodeState:
-    """Initial episode state for a deployment under the given config; every
-    UE's candidates are the cells of its measurement report."""
+    """Initial episode state for a deployment under the given config; each
+    reshuffled UE's candidates are the cells of its measurement report."""
     g0, reshuffled = initial_graph(dep, cfg.edge_threshold_db, cfg.d_max_m)
     return EpisodeState(graph=g0, unassigned=reshuffled,
                         candidates={j: measurement_report(dep, j).cells
-                                    for j in range(dep.n_ues)},
+                                    for j in reshuffled},
                         cap=dep.cap)
 
 

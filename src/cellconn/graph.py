@@ -130,18 +130,23 @@ class UeClass(enum.Enum):
 DEFAULT_EDGE_THRESHOLD_DB = 3.0
 
 
+def _edge_mask(dep: Deployment, threshold_db: float) -> np.ndarray:
+    """(n_ues,) bool: the gap between a UE's two strongest RSRP measurements
+    is below ``threshold_db``.  All False with a single cell."""
+    if dep.n_cells == 1:
+        return np.zeros(dep.n_ues, dtype=bool)
+    top2 = -np.partition(-dep.rsrp_dbm, 1, axis=0)[:2, :]
+    return top2[0] - top2[1] < threshold_db
+
+
 def classify_ues(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_DB) -> list[UeClass]:
     """Label each UE by the gap between its two strongest RSRP measurements.
 
     A gap below ``threshold_db`` means no clearly dominant cell, so the UE is
     cell-edge.  With a single cell every UE is cell-center.
     """
-    if dep.n_cells == 1:
-        return [UeClass.CELL_CENTER] * dep.n_ues
-    top2 = -np.partition(-dep.rsrp_dbm, 1, axis=0)[:2, :]
-    gap = top2[0] - top2[1]
-    return [UeClass.CELL_EDGE if gap[j] < threshold_db else UeClass.CELL_CENTER
-            for j in range(dep.n_ues)]
+    return [UeClass.CELL_EDGE if edge else UeClass.CELL_CENTER
+            for edge in _edge_mask(dep, threshold_db)]
 
 
 def initial_graph(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_DB,
@@ -152,17 +157,11 @@ def initial_graph(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_
     index); cell-edge UEs stay unassigned and are returned as the reshuffled
     set, in ascending UE order.
     """
-    labels = classify_ues(dep, threshold_db)
-    assign = np.full(dep.n_ues, UNASSIGNED, dtype=np.int64)
-    reshuffled = []
-    for j in range(dep.n_ues):
-        if labels[j] is UeClass.CELL_CENTER:
-            assign[j] = int(np.argmax(dep.rsrp_dbm[:, j]))
-        else:
-            reshuffled.append(j)
+    edge = _edge_mask(dep, threshold_db)
+    assign = np.where(edge, UNASSIGNED, np.argmax(dep.rsrp_dbm, axis=0)).astype(np.int64)
     g = ConnectionGraph(cell_adj=build_cell_graph(dep, d_max_m), assign=assign,
                         d_max_m=d_max_m)
-    return g, tuple(reshuffled)
+    return g, tuple(np.flatnonzero(edge).tolist())
 
 
 def input_features(g: ConnectionGraph, cap: np.ndarray) -> NodeFeatures:

@@ -11,6 +11,7 @@ assignments.  Graph state is committed after every answered request.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import sys
 import time
@@ -27,7 +28,7 @@ from cellconn.netmodel import (Deployment, MeasurementReport, load_deployment,
 
 __all__ = [
     "HandoverEvent", "SubGraph", "extract_subgraph", "handle_event",
-    "max_rsrp_policy", "max_rsrp_graph", "serve", "serve_stream",
+    "max_rsrp_graph", "serve", "serve_stream",
 ]
 
 
@@ -41,28 +42,15 @@ class HandoverEvent:
 
 @dataclass(frozen=True)
 class SubGraph:
-    """Local view for one event: kept node sets and the embedded graph."""
+    """Local view for one event: kept node sets and the embedded graph.
+
+    ``kept_cells`` and ``kept_ues`` are ascending global indices; local
+    index i of ``graph`` is position i in them.
+    """
 
     kept_cells: tuple[int, ...]
     kept_ues: tuple[int, ...]
-    cell_to_local: dict[int, int]
-    ue_to_local: dict[int, int]
     graph: ConnectionGraph
-
-
-def _bfs_cells(cell_adj: np.ndarray, seeds: list[int], hops: int) -> list[int]:
-    """Cells reachable from the seeds within ``hops`` adjacency hops."""
-    keep = set(seeds)
-    frontier = set(seeds)
-    for _ in range(hops):
-        nxt = set()
-        for c in frontier:
-            nxt.update(np.nonzero(cell_adj[c])[0].tolist())
-        frontier = nxt - keep
-        if not frontier:
-            break
-        keep |= frontier
-    return sorted(keep)
 
 
 def extract_subgraph(g: ConnectionGraph, event: HandoverEvent, hops: int) -> SubGraph:
@@ -77,22 +65,22 @@ def extract_subgraph(g: ConnectionGraph, event: HandoverEvent, hops: int) -> Sub
     if not event.report.cells:
         raise ValueError(f"event for UE {event.ue} carries an empty report")
 
-    kept_cells = _bfs_cells(g.cell_adj, sorted(set(event.report.cells)), hops)
-    cell_set = set(kept_cells)
-    kept_ues = sorted({j for j in range(g.n_ues) if g.assign[j] in cell_set}
-                      | {event.ue})
+    keep = np.zeros(g.n_cells, dtype=bool)
+    keep[list(event.report.cells)] = True
+    for _ in range(hops):
+        keep |= g.cell_adj[keep].any(axis=0)
+    kept_cells = np.flatnonzero(keep)
+    ue_mask = (g.assign != UNASSIGNED) & keep[g.assign]
+    ue_mask[event.ue] = True
+    kept_ues = np.flatnonzero(ue_mask)
 
-    cell_to_local = {c: i for i, c in enumerate(kept_cells)}
-    ue_to_local = {u: i for i, u in enumerate(kept_ues)}
-    assign = np.full(len(kept_ues), UNASSIGNED, dtype=np.int64)
-    for u in kept_ues:
-        a = int(g.assign[u])
-        if a in cell_set:
-            assign[ue_to_local[u]] = cell_to_local[a]
+    # Global -> local cell index; the last slot keeps UNASSIGNED at UNASSIGNED.
+    to_local = np.full(g.n_cells + 1, UNASSIGNED, dtype=np.int64)
+    to_local[kept_cells] = np.arange(len(kept_cells))
     sub = ConnectionGraph(cell_adj=g.cell_adj[np.ix_(kept_cells, kept_cells)],
-                          assign=assign, d_max_m=g.d_max_m)
-    return SubGraph(kept_cells=tuple(kept_cells), kept_ues=tuple(kept_ues),
-                    cell_to_local=cell_to_local, ue_to_local=ue_to_local, graph=sub)
+                          assign=to_local[g.assign[kept_ues]], d_max_m=g.d_max_m)
+    return SubGraph(kept_cells=tuple(kept_cells.tolist()),
+                    kept_ues=tuple(kept_ues.tolist()), graph=sub)
 
 
 def handle_event(p: GnnParams, dep: Deployment, g: ConnectionGraph,
@@ -106,36 +94,25 @@ def handle_event(p: GnnParams, dep: Deployment, g: ConnectionGraph,
     outside the reshuffled set keep their cells.
     """
     sub = extract_subgraph(g, event, p.n_layers)
-    reshuffled = [u for u in sub.kept_ues if u == event.ue or u in edge_ues]
+    kept = sub.kept_cells
+    reshuffled = [i for i, u in enumerate(sub.kept_ues) if u == event.ue or u in edge_ues]
     assign = sub.graph.assign.copy()
-    for u in reshuffled:
-        assign[sub.ue_to_local[u]] = UNASSIGNED
-    start = replace(sub.graph, assign=assign)
+    assign[reshuffled] = UNASSIGNED
 
-    kept_set = set(sub.kept_cells)
-    rsrp = dep.rsrp_dbm
     candidates: dict[int, tuple[int, ...]] = {}
-    for u in reshuffled:
+    for i in reshuffled:
+        u = sub.kept_ues[i]
         cells = event.report.cells if u == event.ue else measurement_report(dep, u).cells
-        local = tuple(sub.cell_to_local[c] for c in cells if c in kept_set)
-        if not local:
-            # Report lies outside the subgraph: fall back to the strongest kept cell.
-            strongest = max(sub.kept_cells, key=lambda c: (rsrp[c, u], -c))
-            local = (sub.cell_to_local[strongest],)
-        candidates[sub.ue_to_local[u]] = local
+        local = tuple(kept.index(c) for c in cells if c in kept)
+        # Report lies outside the subgraph: fall back to the strongest kept
+        # cell (ties to the lower index).
+        candidates[i] = local or (int(np.argmax(dep.rsrp_dbm[list(kept), u])),)
 
-    state = EpisodeState(graph=start,
-                         unassigned=tuple(sorted(sub.ue_to_local[u] for u in reshuffled)),
-                         candidates=candidates,
-                         cap=dep.cap[np.ix_(sub.kept_cells, sub.kept_ues)])
+    state = EpisodeState(graph=replace(sub.graph, assign=assign),
+                         unassigned=tuple(reshuffled), candidates=candidates,
+                         cap=dep.cap[np.ix_(kept, sub.kept_ues)])
     final = greedy_rollout(p, state)
-    return [(sub.kept_ues[lu], sub.kept_cells[final.assign[lu]])
-            for lu in sorted(sub.ue_to_local[u] for u in reshuffled)]
-
-
-def max_rsrp_policy(dep: Deployment) -> list[tuple[int, int]]:
-    """Greedy baseline: every UE takes its strongest cell (ties: lower index)."""
-    return [(u, int(c)) for u, c in enumerate(np.argmax(dep.rsrp_dbm, axis=0))]
+    return [(sub.kept_ues[i], kept[final.assign[i]]) for i in reshuffled]
 
 
 def max_rsrp_graph(dep: Deployment, d_max_m: float = DEFAULT_D_MAX_M) -> ConnectionGraph:
@@ -163,7 +140,7 @@ def _parse_request(line: str, n_cells: int, n_ues: int) -> HandoverEvent:
     raw = doc.get("rsrp_dbm")
     if not isinstance(raw, dict) or not raw:
         raise ValueError("rsrp_dbm must be a non-empty object of cell -> dBm")
-    entries = []
+    rsrp: dict[int, float] = {}
     for key, val in raw.items():
         try:
             cell = int(key)
@@ -171,10 +148,18 @@ def _parse_request(line: str, n_cells: int, n_ues: int) -> HandoverEvent:
             raise ValueError(f"bad cell id {key!r} in rsrp_dbm") from None
         if not 0 <= cell < n_cells:
             raise ValueError(f"cell id {cell} out of range [0, {n_cells})")
+        if cell in rsrp:
+            raise ValueError(f"cell {cell} named twice in rsrp_dbm")
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ValueError(f"RSRP for cell {cell} must be a number, got {val!r}")
-        entries.append((cell, float(val)))
-    entries.sort(key=lambda cv: (-cv[1], cv[0]))
+        try:
+            dbm = float(val)
+        except OverflowError:  # an integer beyond the float range
+            dbm = math.inf
+        if not math.isfinite(dbm):
+            raise ValueError(f"RSRP for cell {cell} must be finite")
+        rsrp[cell] = dbm
+    entries = sorted(rsrp.items(), key=lambda cv: (-cv[1], cv[0]))
     return HandoverEvent(ue=ue, report=MeasurementReport(
         ue=ue, cells=tuple(c for c, _ in entries),
         rsrp_dbm=tuple(v for _, v in entries)))
@@ -184,18 +169,23 @@ def serve_stream(p: GnnParams, dep: Deployment, rfile, wfile) -> int:
     """Answer newline-delimited JSON handover requests until EOF.
 
     Every input line gets exactly one response line: either the decided
-    assignments or an ``{"error": ...}`` object.  The connection graph starts
-    from the deployment's initial state (3 dB cell-edge threshold, 250 m cell
-    adjacency) and commits each answer; its cell-edge UEs are the ones every
-    event may reshuffle.  Returns the number of lines processed.
+    assignments or an ``{"error": ...}`` object.  A text stream with an
+    underlying byte buffer is read as bytes and each line decoded as UTF-8
+    on its own, so an undecodable line gets an error reply too.  The
+    connection graph starts from the deployment's initial state (3 dB
+    cell-edge threshold, 250 m cell adjacency) and commits each answer; its
+    cell-edge UEs are the ones every event may reshuffle.  Returns the
+    number of lines processed.
     """
     g, edge = initial_graph(dep)
     edge_ues = frozenset(edge)
     handled = 0
-    for line in rfile:
+    for line in getattr(rfile, "buffer", rfile):
         handled += 1
         t0 = time.perf_counter()
         try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
             if not line.strip():
                 raise ValueError("empty request line")
             event = _parse_request(line, dep.n_cells, dep.n_ues)

@@ -128,9 +128,11 @@ def test_generate_writes_files_and_manifest(tmp_path):
     manifest_path = cmd_generate(cfg, str(tmp_path))
     manifest = json.loads(open(manifest_path, encoding="utf-8").read())
     assert len(manifest["train"]) == 3
-    assert len(manifest["eval"]) == 1 and len(manifest["eval"][0]["files"]) == 2
-    for entry in manifest["train"] + manifest["eval"][0]["files"]:
+    for entry in manifest["train"]:
         assert os.path.isfile(os.path.join(tmp_path, entry["file"]))
+    # eval regenerates its deployments from their seeds: none are written
+    assert sorted(manifest) == ["hex_diameter_m", "seed", "train"]
+    assert os.listdir(tmp_path / "deployments") == ["train"]
 
 
 def test_generate_rerun_byte_identical(tmp_path):

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellconn.netmodel as netmodel
 from cellconn.dqn import TrainConfig, train
@@ -15,7 +17,7 @@ from cellconn.metrics import sum_throughput
 from cellconn.netmodel import (MeasurementReport, generate_deployment,
                                measurement_report)
 from cellconn.xapp import (HandoverEvent, extract_subgraph, handle_event,
-                           max_rsrp_graph, max_rsrp_policy, serve_stream)
+                           max_rsrp_graph, serve_stream)
 
 from conftest import deployment_with_rsrp, make_deployment, make_graph
 
@@ -92,15 +94,56 @@ def test_subgraph_index_maps_round_trip():
     g = make_graph(4, [0, 0, 2, None, 2, 1], cell_adj=line_adjacency(4))
     ev = HandoverEvent(ue=3, report=report(3, (2,)))
     sub = extract_subgraph(g, ev, hops=1)
-    for c in sub.kept_cells:
-        assert sub.kept_cells[sub.cell_to_local[c]] == c
-    for u in sub.kept_ues:
-        assert sub.kept_ues[sub.ue_to_local[u]] == u
-    assert sorted(sub.cell_to_local.values()) == list(range(len(sub.kept_cells)))
-    assert sorted(sub.ue_to_local.values()) == list(range(len(sub.kept_ues)))
+    # local index i is position i: local cells map back to the global ones
+    for i, u in enumerate(sub.kept_ues):
+        if sub.graph.assign[i] != UNASSIGNED:
+            assert sub.kept_cells[sub.graph.assign[i]] == g.assign[u]
+    assert sub.graph.n_cells == len(sub.kept_cells)
+    assert sub.graph.n_ues == len(sub.kept_ues)
     # every kept UE is either the event UE or served by a kept cell
     for u in sub.kept_ues:
         assert u == ev.ue or g.assign[u] in set(sub.kept_cells)
+
+
+def reference_subgraph(g, ev: HandoverEvent, hops: int):
+    """Set-based BFS over cells, then the UEs served by a kept cell plus the
+    event UE, with their local assignment and the kept cells' adjacency."""
+    keep = set(ev.report.cells)
+    frontier = set(keep)
+    for _ in range(hops):
+        frontier = {k for c in frontier for k in range(g.n_cells)
+                    if g.cell_adj[c, k]} - keep
+        keep |= frontier
+    cells = sorted(keep)
+    ues = sorted({u for u in range(g.n_ues) if g.assign[u] in keep} | {ev.ue})
+    local = [cells.index(g.assign[u]) if g.assign[u] in keep else UNASSIGNED
+             for u in ues]
+    adj = [[g.cell_adj[a, b] for b in cells] for a in cells]
+    return tuple(cells), tuple(ues), local, adj
+
+
+def test_subgraph_matches_reference_on_random_graphs():
+    rng = np.random.default_rng(7)
+    seen = {"hops0": 0, "unassigned": 0, "event_outside": 0}
+    for _ in range(300):
+        n_cells, n_ues = int(rng.integers(1, 8)), int(rng.integers(1, 12))
+        adj = np.triu((rng.random((n_cells, n_cells)) < 0.3).astype(float), 1)
+        assign = rng.integers(-1, n_cells, size=n_ues).tolist()
+        g = make_graph(n_cells, [None if a < 0 else a for a in assign], cell_adj=adj + adj.T)
+        ue = int(rng.integers(n_ues))
+        hops = int(rng.integers(0, 4))
+        cells = tuple(rng.integers(0, n_cells, size=int(rng.integers(1, 4))).tolist())
+        ev = HandoverEvent(ue=ue, report=report(ue, cells))
+        sub = extract_subgraph(g, ev, hops)
+        want_cells, want_ues, want_local, want_adj = reference_subgraph(g, ev, hops)
+        assert sub.kept_cells == want_cells
+        assert sub.kept_ues == want_ues
+        assert sub.graph.assign.tolist() == want_local
+        assert sub.graph.cell_adj.tolist() == want_adj
+        seen["hops0"] += hops == 0
+        seen["unassigned"] += UNASSIGNED in assign
+        seen["event_outside"] += assign[ue] >= 0 and assign[ue] not in want_cells
+    assert min(seen.values()) > 0
 
 
 def test_subgraph_rejects_bad_events():
@@ -202,16 +245,16 @@ def test_max_rsrp_picks_strongest_with_index_ties():
                      [-70.0, -65.0, -85.0],
                      [-80.0, -90.0, -70.0]])
     dep = deployment_with_rsrp(rsrp)
-    assert max_rsrp_policy(dep) == [(0, 0), (1, 0), (2, 2)]
+    assert max_rsrp_graph(dep).assign.tolist() == [0, 0, 2]
 
 
 def test_max_rsrp_subset_and_independence():
     dep = generate_deployment(17, 3, 6)
-    full = dict(max_rsrp_policy(dep))
-    assert sorted(full) == list(range(dep.n_ues))
+    full = max_rsrp_graph(dep).assign
+    assert full.shape == (dep.n_ues,) and UNASSIGNED not in full
     some = make_deployment(dep.cells, dep.ues[[4, 1]], dep.shadow_db[:, [4, 1]],
                            radio=dep.radio)
-    assert max_rsrp_policy(some) == [(0, full[4]), (1, full[1])]
+    assert max_rsrp_graph(some).assign.tolist() == [full[4], full[1]]
 
 
 def test_max_rsrp_permutation_equivariant(rng):
@@ -219,9 +262,9 @@ def test_max_rsrp_permutation_equivariant(rng):
     perm = rng.permutation(dep.n_ues)
     permuted = make_deployment(dep.cells, dep.ues[perm],
                                dep.shadow_db[:, perm], radio=dep.radio)
-    base = dict(max_rsrp_policy(dep))
+    base = max_rsrp_graph(dep).assign
     for new_u, old_u in enumerate(perm):
-        assert dict(max_rsrp_policy(permuted))[new_u] == base[int(old_u)]
+        assert max_rsrp_graph(permuted).assign[new_u] == base[int(old_u)]
 
 
 def test_max_rsrp_graph_matches_argmax():
@@ -272,6 +315,11 @@ def test_serve_stream_validation_errors():
         mk(type="handover", ue=0, rsrp_dbm={}),                    # empty report
         mk(type="handover", ue=0, rsrp_dbm={"0": "loud"}),         # non-numeric
         json.dumps([1, 2, 3]),                                     # not an object
+        mk(type="handover", ue=0, rsrp_dbm={"0": float("nan")}),   # NaN
+        mk(type="handover", ue=0, rsrp_dbm={"0": float("inf")}),   # Infinity
+        mk(type="handover", ue=0, rsrp_dbm={"0": -float("inf")}),  # -Infinity
+        mk(type="handover", ue=0, rsrp_dbm={"0": 10 ** 400}),      # beyond float
+        mk(type="handover", ue=0, rsrp_dbm={"1": -60, "01": -61}), # cell named twice
     ])
     assert all("error" in r for r in replies)
 
@@ -290,6 +338,32 @@ def test_serve_stream_survives_deeply_nested_line():
     replies = run_lines(["[" * 100_000, good])
     assert "bad JSON" in replies[0]["error"]
     assert replies[1]["ue"] == 1 and replies[1]["assignments"]
+
+
+def test_serve_stream_answers_invalid_utf8_line():
+    good = json.dumps({"type": "handover", "ue": 1,
+                       "rsrp_dbm": {"0": -61.0, "1": -64.5}}).encode()
+    rfile = io.TextIOWrapper(io.BytesIO(b"\xff\xfe\n" + good + b"\n"), encoding="utf-8")
+    out = io.StringIO()
+    assert serve_stream(zeros_params(), generate_deployment(41, 2, 4), rfile, out) == 2
+    replies = [json.loads(l) for l in out.getvalue().splitlines()]
+    assert len(replies) == 2
+    assert "error" in replies[0]
+    assert replies[1]["ue"] == 1 and replies[1]["assignments"]
+
+
+VALID_LINE = json.dumps({"type": "handover", "ue": 2,
+                         "rsrp_dbm": {"1": -59.0, "0": -61.0}}).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.binary(max_size=40), st.just(VALID_LINE)), max_size=6))
+def test_serve_stream_one_reply_per_byte_line(lines):
+    lines = [l.replace(b"\n", b"") for l in lines]
+    rfile = io.TextIOWrapper(io.BytesIO(b"".join(l + b"\n" for l in lines)), encoding="utf-8")
+    out = io.StringIO()
+    assert serve_stream(zeros_params(), generate_deployment(41, 2, 4), rfile, out) == len(lines)
+    assert len(out.getvalue().splitlines()) == len(lines)
 
 
 def test_serve_stream_never_recomputes_distances(monkeypatch):
