@@ -1,8 +1,12 @@
 """Golden digests: SHA-256 of outputs that must not move under a refactor.
 
-Three fixtures are pinned:
+Four fixtures are pinned:
 - the artifacts of acceptance criterion 7's micro config (``model.json``,
   ``trainlog.csv``, ``gainreport.csv``);
+- the same artifacts of a 3-round, width-4 run on 4 x 12 deployments in
+  which gradient clipping fires on 65 of 99 updates (it never fires in the
+  criterion-7 config), so the clip factor and a depth other than 2 are
+  pinned too;
 - the reply lines of a fixed ``serve_stream`` session (true measurement
   reports plus malformed lines), with the wall-clock ``latency_us`` dropped;
 - the reply lines of a 10 x 60 session on a 1.5 km hexagon, served by the
@@ -31,6 +35,11 @@ CRITERION_7_DIGESTS = {
     "trainlog.csv": "def4f1ef77bf0db415f39c1205d82b5302027db60aaeeb407f9cec75afc46dd5",
     "gainreport.csv": "1b1d468e0fc45c7f3b0a2b0bbb9a1aea998b74272140d66c9332407f22b5f250",
 }
+CLIPPED_DIGESTS = {
+    "model.json": "8ce901d5a4380383382aa3fcdc5ac037ca7319f74c8cf0bcf95da24470a45e62",
+    "trainlog.csv": "4e7551c062ce2953336d4e023ca33b469b801306e6772df92ea0d5d20e2df15a",
+    "gainreport.csv": "9b40a606a28dcbf1a9698aa3fe39eaaa1eacfdbcc7bf4bf0d1d1134010f0beaa",
+}
 SERVE_DIGEST = "c174092bb96f27dca63085b3a580cc0f800dc338d92c08746a5df8bd4af4b29e"
 SERVE_10X60_DIGEST = "30f69b71f1808ab6c41da5ca562a950dde6b72897d31220b4c47c995014bd230"
 PINNED_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "model.json"
@@ -40,19 +49,31 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def artifact_digests(cfg, out: str) -> dict[str, str]:
+    """Digests of the ``train`` then ``eval`` artifacts of a config."""
+    model_path, log_path = cmd_train(cfg, out)
+    report_path = cmd_eval(cfg, model_path, out)
+    return {name: sha256(open(path, "rb").read())
+            for name, path in (("model.json", model_path), ("trainlog.csv", log_path),
+                               ("gainreport.csv", report_path))}
+
+
 def test_criterion_7_artifacts_match_golden_digests(tmp_path):
     cfg = config_from_dict({
         "n_cells_list": [2], "n_ues_list": [4],
         "n_train_deployments": 30, "n_eval_deployments": 6, "seed": 11,
         "train": {"reward_kind": "fair", "alpha": 0.001, "epsilon": 0.5,
                   "init_std": 0.3}})
-    out = str(tmp_path)
-    model_path, log_path = cmd_train(cfg, out)
-    report_path = cmd_eval(cfg, model_path, out)
-    got = {name: sha256(open(path, "rb").read())
-           for name, path in (("model.json", model_path), ("trainlog.csv", log_path),
-                              ("gainreport.csv", report_path))}
-    assert got == CRITERION_7_DIGESTS
+    assert artifact_digests(cfg, str(tmp_path)) == CRITERION_7_DIGESTS
+
+
+def test_clipped_three_round_artifacts_match_golden_digests(tmp_path):
+    cfg = config_from_dict({
+        "n_cells_list": [4], "n_ues_list": [12],
+        "n_train_deployments": 25, "n_eval_deployments": 3, "seed": 3,
+        "train": {"reward_kind": "fair", "alpha": 0.001, "epsilon": 1.0,
+                  "init_std": 0.3, "gnn_layers": 3, "gnn_width": 4}})
+    assert artifact_digests(cfg, str(tmp_path)) == CLIPPED_DIGESTS
 
 
 def serve_session_lines() -> list[str]:
