@@ -23,11 +23,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from cellconn.graph import ConnectionGraph, connect, initial_graph, input_features
-from cellconn.gnn import (GnnParams, backward, forward, init_params,
-                          param_arrays, score_action)
+from cellconn.gnn import GnnParams, backward, forward, init_params, score_action
 from cellconn.metrics import (coverage, jain_index, reward_fair,
                               reward_throughput, sum_throughput)
-from cellconn.netmodel import Deployment, measurement_report
+from cellconn.netmodel import Deployment
 
 REWARD_KINDS = ("throughput", "fair")
 
@@ -83,11 +82,11 @@ class EpisodeState:
 
 @dataclass(frozen=True)
 class Transition:
-    state: EpisodeState
-    action: tuple[int, int]  # (cell, ue)
+    """One step as an after-state: its reward and the state it led to.
+    The step is terminal when ``next_state`` has no UE left to assign."""
+
     reward: float
     next_state: EpisodeState
-    terminal: bool
 
 
 class ReplayBuffer:
@@ -144,9 +143,9 @@ def select_action(p: GnnParams, s: EpisodeState, epsilon: float,
 
 def td_target(p: GnnParams, t: Transition, gamma: float) -> float:
     """One-step bootstrapped return; plain reward at terminal transitions."""
-    if t.terminal:
-        return t.reward
     nxt = t.next_state
+    if not nxt.unassigned:
+        return t.reward
     best = max(score_action(p, nxt.graph, nxt.cap, cell, ue)
                for cell, ue in legal_actions(nxt))
     return t.reward + gamma * best
@@ -156,38 +155,34 @@ def sgd_step(p: GnnParams, batch: Sequence[Transition], alpha: float,
              gamma: float, grad_clip_norm: float | None = 10.0) -> tuple[GnnParams, float]:
     """One semi-gradient update from a batch; returns (new params, mean TD loss).
 
-    The per-transition directions (y - Q) dQ/dw are averaged, clipped to the
-    given global norm, then applied once.  Targets are computed with the
-    incoming parameters (no target network).
+    Q is the score of each transition's after-state.  The per-transition
+    directions (y - Q) dQ/dw are averaged, clipped to the given global norm
+    (summed array by array, in the order of ``GnnParams.arrays``), then
+    applied once.  Targets are computed with the incoming parameters (no
+    target network).
 
     Raises:
         DivergenceError: a target, score or gradient went non-finite.
     """
-    direction = [np.zeros_like(a) for a in param_arrays(p)]
+    direction = GnnParams(p.n_layers, p.width)
     loss = 0.0
     for t in batch:
         y = td_target(p, t, gamma)
-        cell, ue = t.action
-        g_next = connect(t.state.graph, cell, ue)
-        trace = forward(p, g_next, input_features(g_next, t.state.cap))
+        nxt = t.next_state
+        trace = forward(p, nxt.graph, input_features(nxt.graph, nxt.cap))
         delta = y - trace.score
         if not math.isfinite(delta):
             raise DivergenceError(f"non-finite TD error: target={y}, q={trace.score}")
-        grads = backward(p, trace)
-        for d, g in zip(direction, param_arrays(grads)):
-            d += (delta / len(batch)) * g
+        direction.vec += (delta / len(batch)) * backward(p, trace).vec
         loss += delta * delta / len(batch)
 
-    norm = math.sqrt(sum(float(np.square(d).sum()) for d in direction))
+    norm = math.sqrt(sum(float(np.square(d).sum()) for d in direction.arrays))
     if not math.isfinite(norm):
         raise DivergenceError(f"non-finite gradient (norm={norm})")
+    step = direction.vec
     if grad_clip_norm is not None and norm > grad_clip_norm:
-        direction = [d * (grad_clip_norm / norm) for d in direction]
-
-    arrays = [a + alpha * d for a, d in zip(param_arrays(p), direction)]
-    n = p.n_layers
-    return GnnParams(w1=arrays[:n], w2=arrays[n:2 * n], w3=arrays[2 * n:3 * n],
-                     w4=arrays[3 * n], w5=arrays[3 * n + 1]), loss
+        step = step * (grad_clip_norm / norm)
+    return GnnParams(p.n_layers, p.width, p.vec + alpha * step), loss
 
 
 @dataclass(frozen=True)
@@ -225,6 +220,13 @@ def step_reward(kind: str, lam: float, g_prev: ConnectionGraph,
     return reward_fair(g_prev, g_next, cap, lam)
 
 
+def advance(s: EpisodeState, cell: int, ue: int) -> EpisodeState:
+    """The state after attaching ``ue`` to ``cell``."""
+    return EpisodeState(graph=connect(s.graph, cell, ue),
+                        unassigned=tuple(j for j in s.unassigned if j != ue),
+                        candidates=s.candidates, cap=s.cap)
+
+
 def run_episode(p: GnnParams, cfg: TrainConfig, state: EpisodeState,
                 buffer: ReplayBuffer | None, rng: np.random.Generator | None,
                 epsilon: float) -> tuple[GnnParams, float, list[float], ConnectionGraph]:
@@ -237,15 +239,11 @@ def run_episode(p: GnnParams, cfg: TrainConfig, state: EpisodeState,
     ep_return = 0.0
     losses: list[float] = []
     while state.unassigned:
-        cell, ue = select_action(p, state, epsilon, rng)
-        g_next = connect(state.graph, cell, ue)
-        r = step_reward(cfg.reward_kind, cfg.lambda_fair, state.graph, g_next, state.cap)
-        remaining = tuple(j for j in state.unassigned if j != ue)
-        next_state = EpisodeState(graph=g_next, unassigned=remaining,
-                                  candidates=state.candidates, cap=state.cap)
+        next_state = advance(state, *select_action(p, state, epsilon, rng))
+        r = step_reward(cfg.reward_kind, cfg.lambda_fair, state.graph,
+                        next_state.graph, state.cap)
         if buffer is not None:
-            buffer.push(Transition(state=state, action=(cell, ue), reward=r,
-                                   next_state=next_state, terminal=not remaining))
+            buffer.push(Transition(reward=r, next_state=next_state))
             if len(buffer) >= cfg.batch_size:
                 batch = buffer.sample(cfg.batch_size, rng)
                 p, loss = sgd_step(p, batch, cfg.alpha, cfg.gamma, cfg.grad_clip_norm)
@@ -260,7 +258,7 @@ def deployment_state(dep: Deployment, cfg: TrainConfig) -> EpisodeState:
     reshuffled UE's candidates are the cells of its measurement report."""
     g0, reshuffled = initial_graph(dep, cfg.edge_threshold_db, cfg.d_max_m)
     return EpisodeState(graph=g0, unassigned=reshuffled,
-                        candidates={j: measurement_report(dep, j).cells
+                        candidates={j: tuple(dep.report_cells[j].tolist())
                                     for j in reshuffled},
                         cap=dep.cap)
 
@@ -300,9 +298,5 @@ def train(cfg: TrainConfig, deployments: Iterable[Deployment]) -> tuple[GnnParam
 def greedy_rollout(p: GnnParams, state: EpisodeState) -> ConnectionGraph:
     """Assign every pending UE greedily (epsilon = 0); returns the final graph."""
     while state.unassigned:
-        cell, ue = select_action(p, state, 0.0, None)
-        remaining = tuple(j for j in state.unassigned if j != ue)
-        state = EpisodeState(graph=connect(state.graph, cell, ue),
-                             unassigned=remaining, candidates=state.candidates,
-                             cap=state.cap)
+        state = advance(state, *select_action(p, state, 0.0, None))
     return state.graph

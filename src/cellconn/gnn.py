@@ -14,6 +14,7 @@ ReLU'(0) is taken as 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,33 +28,26 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-@dataclass
 class GnnParams:
-    """Weights of the Q-network.
+    """Weights of the Q-network, held in one contiguous float64 vector.
 
     w1/w2/w3 hold one matrix per message-passing round: (2, width) for the
     first round (raw features are 2-wide), (width, width) afterwards.
     w4 is (width, width), w5 a width-vector; both belong to the readout head.
+    Each is a view into ``vec``, laid out in the order of ``arrays``: w1, w2
+    and w3 round by round, then w4, w5.  ``vec`` defaults to zeros.
     """
 
-    w1: list[np.ndarray]
-    w2: list[np.ndarray]
-    w3: list[np.ndarray]
-    w4: np.ndarray
-    w5: np.ndarray
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.w1)
-
-    @property
-    def width(self) -> int:
-        return self.w5.shape[0]
-
-
-def param_arrays(p: GnnParams) -> list[np.ndarray]:
-    """All weight arrays in a fixed, documented order."""
-    return [*p.w1, *p.w2, *p.w3, p.w4, p.w5]
+    def __init__(self, n_layers: int, width: int, vec: np.ndarray | None = None):
+        rounds = [(2 if layer == 0 else width, width) for layer in range(n_layers)]
+        shapes = [*rounds, *rounds, *rounds, (width, width), (width,)]
+        bounds = np.cumsum([0, *(math.prod(s) for s in shapes)])
+        self.n_layers, self.width = n_layers, width
+        self.vec = np.zeros(bounds[-1]) if vec is None else vec
+        self.arrays = [self.vec[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)]
+        n = n_layers
+        self.w1, self.w2, self.w3 = self.arrays[:n], self.arrays[n:2 * n], self.arrays[2 * n:3 * n]
+        self.w4, self.w5 = self.arrays[3 * n:]
 
 
 def init_params(seed: int, n_layers: int = 2, width: int = 8,
@@ -71,19 +65,13 @@ def init_params(seed: int, n_layers: int = 2, width: int = 8,
     if init_std <= 0:
         raise ValueError(f"init_std must be > 0, got {init_std}")
     rng = np.random.default_rng(seed)
-
-    def draw(rows: int, cols: int) -> np.ndarray:
-        return rng.normal(0.0, init_std, size=(rows, cols))
-
-    w1, w2, w3 = [], [], []
+    p = GnnParams(n_layers, width)
     for layer in range(n_layers):
-        rows = 2 if layer == 0 else width
-        w1.append(draw(rows, width))
-        w2.append(draw(rows, width))
-        w3.append(draw(rows, width))
-    return GnnParams(w1=w1, w2=w2, w3=w3,
-                     w4=draw(width, width),
-                     w5=rng.normal(0.0, init_std, size=width))
+        for w in (p.w1, p.w2, p.w3):
+            w[layer][...] = rng.normal(0.0, init_std, size=w[layer].shape)
+    p.w4[...] = rng.normal(0.0, init_std, size=p.w4.shape)
+    p.w5[...] = rng.normal(0.0, init_std, size=width)
+    return p
 
 
 @dataclass
@@ -144,30 +132,28 @@ def backward(p: GnnParams, t: ForwardTrace) -> GnnParams:
     """Gradient of the scalar score w.r.t. every weight, from a forward trace,
     laid out as a GnnParams (d(score)/d(weight) in each weight's slot)."""
     n_cells = t.a_cl.shape[0]
-    gw5 = _relu(t.z)
+    grad = GnnParams(p.n_layers, p.width)
+    grad.w5[...] = _relu(t.z)
     g_z = p.w5 * (t.z > 0)
-    gw4 = np.outer(t.pooled, g_z)
+    grad.w4[...] = np.outer(t.pooled, g_z)
     g_pool = p.w4 @ g_z
     g_hcl = np.broadcast_to(g_pool, (n_cells, g_pool.shape[0])).copy()
     g_hue = np.zeros_like(t.h_ue[-1])  # last round's UE embeddings feed nothing
 
-    gw1 = [np.zeros_like(w) for w in p.w1]
-    gw2 = [np.zeros_like(w) for w in p.w2]
-    gw3 = [np.zeros_like(w) for w in p.w3]
     for layer in reversed(range(p.n_layers)):
         g_u1 = g_hcl * (t.u1[layer] > 0)
         g_u2 = g_hcl * (t.u2[layer] > 0)
         g_u3 = g_hue * (t.u3[layer] > 0)
-        gw1[layer] = t.x1[layer].T @ g_u1
-        gw2[layer] = t.x2[layer].T @ g_u2
-        gw3[layer] = t.xu[layer].T @ g_u3
+        grad.w1[layer][...] = t.x1[layer].T @ g_u1
+        grad.w2[layer][...] = t.x2[layer].T @ g_u2
+        grad.w3[layer][...] = t.xu[layer].T @ g_u3
         if layer > 0:
             g_x1 = g_u1 @ p.w1[layer].T
             g_x2 = g_u2 @ p.w2[layer].T
             g_xu = g_u3 @ p.w3[layer].T
             g_hcl = t.a_cl.T @ g_x1 + t.a_ue @ g_xu
             g_hue = t.a_ue.T @ g_x2
-    return GnnParams(w1=gw1, w2=gw2, w3=gw3, w4=gw4, w5=gw5)
+    return grad
 
 
 def score_action(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
@@ -206,16 +192,14 @@ def load_model(path: str) -> GnnParams:
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}")
     n_layers, width = int(doc["layers"]), int(doc["width"])
-    w1 = [np.asarray(w, dtype=float) for w in doc["w1"]]
-    w2 = [np.asarray(w, dtype=float) for w in doc["w2"]]
-    w3 = [np.asarray(w, dtype=float) for w in doc["w3"]]
+    rounds = [[np.asarray(w, dtype=float) for w in doc[k]] for k in ("w1", "w2", "w3")]
     w4 = np.asarray(doc["w4"], dtype=float)
     w5 = np.asarray(doc["w5"], dtype=float)
-    p = GnnParams(w1=w1, w2=w2, w3=w3, w4=w4, w5=w5)
     expected = [(2 if i == 0 else width, width) for i in range(n_layers)]
-    for mats in (w1, w2, w3):
+    for mats in rounds:
         if [m.shape for m in mats] != expected:
             raise ValueError(f"model file shapes do not match layers={n_layers} width={width}")
     if w4.shape != (width, width) or w5.shape != (width,):
         raise ValueError("model file readout shapes do not match declared width")
-    return p
+    flat = [m.ravel() for mats in rounds for m in mats]
+    return GnnParams(n_layers, width, np.concatenate([*flat, w4.ravel(), w5]))

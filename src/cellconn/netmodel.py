@@ -56,6 +56,9 @@ class Deployment:
             shadowing.  Derived on construction, read-only.
         cap: (n_cells, n_ues) Shannon spectral efficiency log2(1 + SNR) of
             every cell-UE link, bit/s/Hz.  Derived on construction, read-only.
+        report_cells: (n_ues, k) cells of each UE's measurement report,
+            k = min(report_set_size, n_cells), by falling RSRP with exact
+            ties to the lower cell index.  Derived on construction, read-only.
     """
 
     seed: int
@@ -66,15 +69,17 @@ class Deployment:
     shadow_db: np.ndarray
     rsrp_dbm: np.ndarray = field(init=False, repr=False, compare=False)
     cap: np.ndarray = field(init=False, repr=False, compare=False)
+    report_cells: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pl = pathloss_db(distance_3d_m(self), self.radio.carrier_ghz)
         rsrp = self.radio.tx_power_dbm - pl - self.shadow_db
         cap = np.log2(1.0 + snr_linear(rsrp, self.radio))
-        rsrp.setflags(write=False)
-        cap.setflags(write=False)
-        object.__setattr__(self, "rsrp_dbm", rsrp)
-        object.__setattr__(self, "cap", cap)
+        k = min(self.radio.report_set_size, self.n_cells)
+        report = np.argsort(-rsrp, axis=0, kind="stable")[:k].T
+        for name, arr in (("rsrp_dbm", rsrp), ("cap", cap), ("report_cells", report)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_cells(self) -> int:
@@ -219,11 +224,9 @@ def measurement_report(dep: Deployment, ue: int) -> MeasurementReport:
     """
     if not 0 <= ue < dep.n_ues:
         raise ValueError(f"UE index {ue} out of range [0, {dep.n_ues})")
-    rsrp = dep.rsrp_dbm[:, ue]
-    order = sorted(range(dep.n_cells), key=lambda c: (-rsrp[c], c))
-    top = order[: min(dep.radio.report_set_size, dep.n_cells)]
+    top = dep.report_cells[ue].tolist()
     return MeasurementReport(ue=ue, cells=tuple(top),
-                             rsrp_dbm=tuple(float(rsrp[c]) for c in top))
+                             rsrp_dbm=tuple(dep.rsrp_dbm[top, ue].tolist()))
 
 
 def save_deployment(dep: Deployment, path: str) -> None:

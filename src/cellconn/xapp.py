@@ -1,7 +1,7 @@
 """Handover service: event-driven reassignment on a local subgraph, plus the
 max-RSRP baseline and a newline-delimited JSON front end.
 
-A handover event names one UE and its current measurement report.  The app
+A handover event is one UE's current measurement report.  The app
 cuts out the subgraph the Q-network can actually see (reported cells, their
 neighbors up to the message-passing depth, and the UEs served there),
 re-decides the cell-edge UEs inside it greedily, and answers with the new
@@ -23,21 +23,12 @@ from cellconn.dqn import EpisodeState, greedy_rollout
 from cellconn.gnn import GnnParams, load_model
 from cellconn.graph import (DEFAULT_D_MAX_M, UNASSIGNED, ConnectionGraph,
                             build_cell_graph, initial_graph)
-from cellconn.netmodel import (Deployment, MeasurementReport, load_deployment,
-                               measurement_report)
+from cellconn.netmodel import Deployment, MeasurementReport, load_deployment
 
 __all__ = [
-    "HandoverEvent", "SubGraph", "extract_subgraph", "handle_event",
+    "SubGraph", "extract_subgraph", "handle_event",
     "max_rsrp_graph", "serve", "serve_stream",
 ]
-
-
-@dataclass(frozen=True)
-class HandoverEvent:
-    """A UE asking for a (re)connection decision, with its measurements."""
-
-    ue: int
-    report: MeasurementReport
 
 
 @dataclass(frozen=True)
@@ -53,25 +44,25 @@ class SubGraph:
     graph: ConnectionGraph
 
 
-def extract_subgraph(g: ConnectionGraph, event: HandoverEvent, hops: int) -> SubGraph:
+def extract_subgraph(g: ConnectionGraph, report: MeasurementReport, hops: int) -> SubGraph:
     """Cut out the event's neighborhood: reported cells, their <=hops-hop
     neighbor cells, the UEs served by those cells, and the event UE itself.
 
     Raises:
         ValueError: event UE out of range or its report is empty.
     """
-    if not 0 <= event.ue < g.n_ues:
-        raise ValueError(f"event UE {event.ue} out of range [0, {g.n_ues})")
-    if not event.report.cells:
-        raise ValueError(f"event for UE {event.ue} carries an empty report")
+    if not 0 <= report.ue < g.n_ues:
+        raise ValueError(f"event UE {report.ue} out of range [0, {g.n_ues})")
+    if not report.cells:
+        raise ValueError(f"event for UE {report.ue} carries an empty report")
 
     keep = np.zeros(g.n_cells, dtype=bool)
-    keep[list(event.report.cells)] = True
+    keep[list(report.cells)] = True
     for _ in range(hops):
         keep |= g.cell_adj[keep].any(axis=0)
     kept_cells = np.flatnonzero(keep)
     ue_mask = (g.assign != UNASSIGNED) & keep[g.assign]
-    ue_mask[event.ue] = True
+    ue_mask[report.ue] = True
     kept_ues = np.flatnonzero(ue_mask)
 
     # Global -> local cell index; the last slot keeps UNASSIGNED at UNASSIGNED.
@@ -84,7 +75,7 @@ def extract_subgraph(g: ConnectionGraph, event: HandoverEvent, hops: int) -> Sub
 
 
 def handle_event(p: GnnParams, dep: Deployment, g: ConnectionGraph,
-                 event: HandoverEvent, edge_ues: frozenset[int]) -> list[tuple[int, int]]:
+                 report: MeasurementReport, edge_ues: frozenset[int]) -> list[tuple[int, int]]:
     """Decide assignments for the event's neighborhood.
 
     The subgraph reaches as many hops as the Q-network has message-passing
@@ -93,16 +84,16 @@ def handle_event(p: GnnParams, dep: Deployment, g: ConnectionGraph,
     Returns the new (ue, cell) pairs in global indices, ascending by UE; UEs
     outside the reshuffled set keep their cells.
     """
-    sub = extract_subgraph(g, event, p.n_layers)
+    sub = extract_subgraph(g, report, p.n_layers)
     kept = sub.kept_cells
-    reshuffled = [i for i, u in enumerate(sub.kept_ues) if u == event.ue or u in edge_ues]
+    reshuffled = [i for i, u in enumerate(sub.kept_ues) if u == report.ue or u in edge_ues]
     assign = sub.graph.assign.copy()
     assign[reshuffled] = UNASSIGNED
 
     candidates: dict[int, tuple[int, ...]] = {}
     for i in reshuffled:
         u = sub.kept_ues[i]
-        cells = event.report.cells if u == event.ue else measurement_report(dep, u).cells
+        cells = report.cells if u == report.ue else dep.report_cells[u].tolist()
         local = tuple(kept.index(c) for c in cells if c in kept)
         # Report lies outside the subgraph: fall back to the strongest kept
         # cell (ties to the lower index).
@@ -122,7 +113,7 @@ def max_rsrp_graph(dep: Deployment, d_max_m: float = DEFAULT_D_MAX_M) -> Connect
                            d_max_m=d_max_m)
 
 
-def _parse_request(line: str, n_cells: int, n_ues: int) -> HandoverEvent:
+def _parse_request(line: str, n_cells: int, n_ues: int) -> MeasurementReport:
     """Validate one request line; raises ValueError with a client-facing message."""
     try:
         doc = json.loads(line)
@@ -160,9 +151,8 @@ def _parse_request(line: str, n_cells: int, n_ues: int) -> HandoverEvent:
             raise ValueError(f"RSRP for cell {cell} must be finite")
         rsrp[cell] = dbm
     entries = sorted(rsrp.items(), key=lambda cv: (-cv[1], cv[0]))
-    return HandoverEvent(ue=ue, report=MeasurementReport(
-        ue=ue, cells=tuple(c for c, _ in entries),
-        rsrp_dbm=tuple(v for _, v in entries)))
+    return MeasurementReport(ue=ue, cells=tuple(c for c, _ in entries),
+                             rsrp_dbm=tuple(v for _, v in entries))
 
 
 def serve_stream(p: GnnParams, dep: Deployment, rfile, wfile) -> int:
@@ -188,13 +178,13 @@ def serve_stream(p: GnnParams, dep: Deployment, rfile, wfile) -> int:
                 line = line.decode("utf-8")
             if not line.strip():
                 raise ValueError("empty request line")
-            event = _parse_request(line, dep.n_cells, dep.n_ues)
-            pairs = handle_event(p, dep, g, event, edge_ues)
+            report = _parse_request(line, dep.n_cells, dep.n_ues)
+            pairs = handle_event(p, dep, g, report, edge_ues)
             assign = g.assign.copy()
             for u, c in pairs:
                 assign[u] = c
             g = replace(g, assign=assign)
-            reply = {"ue": event.ue,
+            reply = {"ue": report.ue,
                      "assignments": [{"ue": u, "cell": c} for u, c in pairs],
                      "latency_us": int((time.perf_counter() - t0) * 1e6)}
         except ValueError as exc:

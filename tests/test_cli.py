@@ -18,7 +18,7 @@ from cellconn.cli import (ExperimentConfig, GAIN_COLUMNS, SweepPoint, UsageError
                           config_from_dict, eval_deployment, load_config, main,
                           sweep_points)
 from cellconn.dqn import TrainConfig
-from cellconn.gnn import init_params, load_model, param_arrays, save_model
+from cellconn.gnn import init_params, load_model, save_model
 from cellconn.graph import capacity_matrix
 from cellconn.metrics import coverage, jain_index, sum_throughput
 from cellconn.netmodel import generate_deployment, save_deployment
@@ -151,7 +151,7 @@ def test_train_alpha_zero_saves_initial_params(tmp_path):
     got = load_model(model_path)
     want = init_params(cfg.seed, cfg.train.gnn_layers, cfg.train.gnn_width,
                        cfg.train.init_std)
-    for a, b in zip(param_arrays(got), param_arrays(want)):
+    for a, b in zip(got.arrays, want.arrays):
         assert np.array_equal(a, b)
     with open(log_path, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))

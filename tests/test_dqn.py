@@ -11,7 +11,7 @@ from cellconn.dqn import (DivergenceError, EpisodeState, ReplayBuffer,
                           deployment_state, greedy_rollout, legal_actions,
                           run_episode, select_action, sgd_step, td_target,
                           train)
-from cellconn.gnn import GnnParams, init_params, param_arrays, score_action
+from cellconn.gnn import GnnParams, init_params, score_action
 from cellconn.graph import connect, initial_graph
 from cellconn.metrics import sum_throughput
 from cellconn.netmodel import generate_deployment
@@ -22,27 +22,18 @@ from conftest import make_graph
 CHI2_CRIT_DF7_P01 = 18.4753
 
 
+def filled_params(value: float, n_layers: int = 2, width: int = 1) -> GnnParams:
+    p = GnnParams(n_layers, width)
+    p.vec[:] = value
+    return p
+
+
 def ones_params(n_layers: int = 2, width: int = 1) -> GnnParams:
-    w1 = [np.ones((2 if l == 0 else width, width)) for l in range(n_layers)]
-    return GnnParams(w1=w1, w2=[np.ones_like(w) for w in w1],
-                     w3=[np.ones_like(w) for w in w1],
-                     w4=np.ones((width, width)), w5=np.ones(width))
+    return filled_params(1.0, n_layers, width)
 
 
 def zeros_params(n_layers: int = 2, width: int = 4) -> GnnParams:
-    p = ones_params(n_layers, width)
-    return GnnParams(w1=[np.zeros_like(w) for w in p.w1],
-                     w2=[np.zeros_like(w) for w in p.w2],
-                     w3=[np.zeros_like(w) for w in p.w3],
-                     w4=np.zeros_like(p.w4), w5=np.zeros_like(p.w5))
-
-
-def filled_params(value: float, n_layers: int = 2, width: int = 1) -> GnnParams:
-    p = ones_params(n_layers, width)
-    return GnnParams(w1=[np.full_like(w, value) for w in p.w1],
-                     w2=[np.full_like(w, value) for w in p.w2],
-                     w3=[np.full_like(w, value) for w in p.w3],
-                     w4=np.full_like(p.w4, value), w5=np.full_like(p.w5, value))
+    return GnnParams(n_layers, width)
 
 
 # --- scalar oracle instance: 1 cell, 1 UE, capacity 2, width-1 all-ones net ---
@@ -66,12 +57,12 @@ def scalar_state() -> EpisodeState:
                         candidates={0: (0,)}, cap=SCALAR_CAP)
 
 
-def scalar_transition(reward: float, terminal: bool = True) -> Transition:
+def scalar_transition(reward: float) -> Transition:
+    """The terminal step that attaches the scalar instance's one UE."""
     s = scalar_state()
     done = EpisodeState(graph=connect(s.graph, 0, 0), unassigned=(),
                         candidates=s.candidates, cap=s.cap)
-    return Transition(state=s, action=(0, 0), reward=reward,
-                      next_state=done, terminal=terminal)
+    return Transition(reward=reward, next_state=done)
 
 
 def micro_state(seed: int, p_cfg: TrainConfig | None = None) -> EpisodeState:
@@ -165,25 +156,22 @@ def test_exploration_fraction_within_binomial_bounds():
 # ---------------------------------------------------------------- targets ---
 
 def test_td_target_terminal_is_reward():
-    t = scalar_transition(reward=2.5, terminal=True)
+    t = scalar_transition(reward=2.5)
     assert td_target(ones_params(), t, gamma=1.0) == 2.5
 
 
 def test_td_target_gamma_zero_is_reward():
-    t = Transition(state=scalar_state(), action=(0, 0), reward=-1.5,
-                   next_state=scalar_state(), terminal=False)
+    t = Transition(reward=-1.5, next_state=scalar_state())
     assert td_target(ones_params(), t, gamma=0.0) == -1.5
 
 
 def test_td_target_zero_params_bootstrap_is_zero():
-    t = Transition(state=scalar_state(), action=(0, 0), reward=0.75,
-                   next_state=micro_state(3), terminal=False)
+    t = Transition(reward=0.75, next_state=micro_state(3))
     assert td_target(zeros_params(), t, gamma=1.0) == 0.75
 
 
 def test_td_target_bootstrap_scalar_oracle():
-    t = Transition(state=scalar_state(), action=(0, 0), reward=1.0,
-                   next_state=scalar_state(), terminal=False)
+    t = Transition(reward=1.0, next_state=scalar_state())
     assert td_target(ones_params(), t, gamma=1.0) == pytest.approx(
         1.0 + SCALAR_Q, rel=1e-15)
     assert td_target(ones_params(), t, gamma=0.5) == pytest.approx(
@@ -195,7 +183,7 @@ def test_td_target_bootstrap_scalar_oracle():
 def test_sgd_step_alpha_zero_keeps_params():
     p = ones_params()
     q, loss = sgd_step(p, [scalar_transition(3.0)], alpha=0.0, gamma=1.0)
-    for a, b in zip(param_arrays(p), param_arrays(q)):
+    for a, b in zip(p.arrays, q.arrays):
         assert np.array_equal(a, b)
     assert loss == pytest.approx((3.0 - SCALAR_Q) ** 2, rel=1e-12)
 
@@ -204,7 +192,7 @@ def test_sgd_step_zero_td_error_keeps_params():
     # reward chosen so the terminal target equals the network's own score
     p = ones_params()
     q, loss = sgd_step(p, [scalar_transition(SCALAR_Q)], alpha=0.1, gamma=1.0)
-    for a, b in zip(param_arrays(p), param_arrays(q)):
+    for a, b in zip(p.arrays, q.arrays):
         assert np.array_equal(a, b)
     assert loss == 0.0
 
@@ -235,7 +223,7 @@ def test_sgd_step_clipped_update_keeps_direction_only():
     alpha = 0.1
     q10, _ = sgd_step(ones_params(), [scalar_transition(10.0)], alpha, 1.0)
     q99, _ = sgd_step(ones_params(), [scalar_transition(99.0)], alpha, 1.0)
-    for a, b in zip(param_arrays(q10), param_arrays(q99)):
+    for a, b in zip(q10.arrays, q99.arrays):
         assert a == pytest.approx(b, rel=1e-12)
     want_w5 = 1.0 + alpha * 10.0 * 2.0 / math.sqrt(14.0)
     assert q10.w5[0] == pytest.approx(want_w5, rel=1e-9)
@@ -255,7 +243,7 @@ def test_sgd_step_batch_averages_directions():
     t = scalar_transition(3.0)
     q1, loss1 = sgd_step(ones_params(), [t], alpha, 1.0)
     q2, loss2 = sgd_step(ones_params(), [t, t], alpha, 1.0)
-    for a, b in zip(param_arrays(q1), param_arrays(q2)):
+    for a, b in zip(q1.arrays, q2.arrays):
         assert a == pytest.approx(b, rel=1e-12)
     assert loss1 == pytest.approx(loss2, rel=1e-12)
 
@@ -374,7 +362,7 @@ def test_train_bitwise_deterministic(tmp_path):
     cfg = micro_train_cfg(episodes_per_deployment=2)
     p1, log1 = train(cfg, deps())
     p2, log2 = train(cfg, deps())
-    for a, b in zip(param_arrays(p1), param_arrays(p2)):
+    for a, b in zip(p1.arrays, p2.arrays):
         assert np.array_equal(a, b)
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     log1.to_csv(str(f1))
@@ -388,7 +376,7 @@ def test_train_alpha_zero_keeps_initial_params():
     deps = [generate_deployment(200 + i, 2, 4) for i in range(4)]
     p, log = train(cfg, deps)
     p0 = init_params(cfg.seed, cfg.gnn_layers, cfg.gnn_width, cfg.init_std)
-    for a, b in zip(param_arrays(p), param_arrays(p0)):
+    for a, b in zip(p.arrays, p0.arrays):
         assert np.array_equal(a, b)
     assert all(math.isfinite(r.ep_return) for r in log.rows)
 

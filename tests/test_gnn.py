@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cellconn.gnn import (GnnParams, backward, forward, init_params, load_model,
-                          param_arrays, save_model, score_action)
+                          save_model, score_action)
 from cellconn.graph import (NodeFeatures, build_cell_graph, capacity_matrix,
                             connect, input_features)
 from cellconn.netmodel import generate_deployment
@@ -13,19 +13,13 @@ from conftest import make_graph
 
 
 def ones_params(n_layers: int = 2, width: int = 1) -> GnnParams:
-    w1 = [np.ones((2 if l == 0 else width, width)) for l in range(n_layers)]
-    w2 = [np.ones_like(w) for w in w1]
-    w3 = [np.ones_like(w) for w in w1]
-    return GnnParams(w1=w1, w2=w2, w3=w3, w4=np.ones((width, width)),
-                     w5=np.ones(width))
+    p = GnnParams(n_layers, width)
+    p.vec[:] = 1.0
+    return p
 
 
 def zeros_params(n_layers: int = 2, width: int = 4) -> GnnParams:
-    p = ones_params(n_layers, width)
-    return GnnParams(w1=[np.zeros_like(w) for w in p.w1],
-                     w2=[np.zeros_like(w) for w in p.w2],
-                     w3=[np.zeros_like(w) for w in p.w3],
-                     w4=np.zeros_like(p.w4), w5=np.zeros_like(p.w5))
+    return GnnParams(n_layers, width)
 
 
 def random_instance(rng, n=None, m=None, assigned_frac=0.7):
@@ -54,7 +48,7 @@ def test_init_shapes_and_determinism():
     assert [w.shape for w in p.w3] == [(2, 8), (8, 8)]
     assert p.w4.shape == (8, 8) and p.w5.shape == (8,)
     q = init_params(3, n_layers=2, width=8, init_std=0.01)
-    for a, b in zip(param_arrays(p), param_arrays(q)):
+    for a, b in zip(p.arrays, q.arrays):
         assert np.array_equal(a, b)
 
 
@@ -101,11 +95,11 @@ def test_forward_trace_shapes(rng):
 def test_forward_is_pure(rng):
     g, cap, feats = random_instance(rng)
     p = random_params(rng)
-    before = [a.copy() for a in param_arrays(p)]
+    before = [a.copy() for a in p.arrays]
     s1 = forward(p, g, feats).score
     s2 = forward(p, g, feats).score
     assert s1 == s2
-    for a, b in zip(param_arrays(p), before):
+    for a, b in zip(p.arrays, before):
         assert np.array_equal(a, b)
 
 
@@ -154,7 +148,7 @@ def finite_difference_check(p, g, feats, h=1e-5, grad_floor=1e-8):
     analytic = backward(p, forward(p, g, feats))
     worst = 0.0
     checked = 0
-    for arr, grad in zip(param_arrays(p), param_arrays(analytic)):
+    for arr, grad in zip(p.arrays, analytic.arrays):
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
@@ -188,7 +182,7 @@ def test_gradients_zero_params():
     feats = NodeFeatures(cell_rate=np.ones((2, 2)), cell_cap=np.ones((2, 2)),
                          ue=np.ones((2, 2)))
     grads = backward(p, forward(p, g, feats))
-    for arr in param_arrays(grads):
+    for arr in grads.arrays:
         assert np.all(arr == 0.0)
 
 
@@ -196,7 +190,8 @@ def test_score_linear_in_readout_vector(rng):
     g, cap, feats = random_instance(rng)
     p = random_params(rng)
     t = forward(p, g, feats)
-    doubled = GnnParams(w1=p.w1, w2=p.w2, w3=p.w3, w4=p.w4, w5=2.0 * p.w5)
+    doubled = GnnParams(p.n_layers, p.width, p.vec.copy())
+    doubled.w5[...] *= 2.0
     t2 = forward(doubled, g, feats)
     assert t2.score == pytest.approx(2.0 * t.score, rel=1e-12)
     g1 = backward(p, t)
@@ -228,7 +223,7 @@ def test_model_roundtrip_bitwise(tmp_path, rng):
     path = tmp_path / "model.json"
     save_model(p, str(path))
     q = load_model(str(path))
-    for a, b in zip(param_arrays(p), param_arrays(q)):
+    for a, b in zip(p.arrays, q.arrays):
         assert np.array_equal(a, b)
 
 

@@ -16,21 +16,13 @@ from cellconn.graph import UNASSIGNED, UeClass, capacity_matrix, classify_ues, i
 from cellconn.metrics import sum_throughput
 from cellconn.netmodel import (MeasurementReport, generate_deployment,
                                measurement_report)
-from cellconn.xapp import (HandoverEvent, extract_subgraph, handle_event,
-                           max_rsrp_graph, serve_stream)
+from cellconn.xapp import extract_subgraph, handle_event, max_rsrp_graph, serve_stream
 
 from conftest import deployment_with_rsrp, make_deployment, make_graph
 
 
 def zeros_params(n_layers: int = 2, width: int = 4) -> GnnParams:
-    w1 = [np.zeros((2 if l == 0 else width, width)) for l in range(n_layers)]
-    return GnnParams(w1=w1, w2=[np.zeros_like(w) for w in w1],
-                     w3=[np.zeros_like(w) for w in w1],
-                     w4=np.zeros((width, width)), w5=np.zeros(width))
-
-
-def event_for(dep, ue: int) -> HandoverEvent:
-    return HandoverEvent(ue=ue, report=measurement_report(dep, ue))
+    return GnnParams(n_layers, width)
 
 
 def line_adjacency(n: int) -> np.ndarray:
@@ -50,7 +42,7 @@ def report(ue: int, cells: tuple[int, ...]) -> MeasurementReport:
 def test_subgraph_fully_connected_keeps_all_cells():
     adj = 1.0 - np.eye(4)
     g = make_graph(4, [0, 1, 2], cell_adj=adj)
-    ev = HandoverEvent(ue=0, report=report(0, (2,)))
+    ev = report(0, (2,))
     sub = extract_subgraph(g, ev, hops=2)
     assert sub.kept_cells == (0, 1, 2, 3)
     assert sub.kept_ues == (0, 1, 2)
@@ -58,7 +50,7 @@ def test_subgraph_fully_connected_keeps_all_cells():
 
 def test_subgraph_isolated_cell():
     g = make_graph(3, [0, 1, 1, 2, None])
-    ev = HandoverEvent(ue=4, report=report(4, (1,)))
+    ev = report(4, (1,))
     sub = extract_subgraph(g, ev, hops=2)
     assert sub.kept_cells == (1,)
     assert sub.kept_ues == (1, 2, 4)  # cell 1's UEs plus the event UE
@@ -68,7 +60,7 @@ def test_subgraph_isolated_cell():
 
 def test_subgraph_line_graph_bfs_depth():
     g = make_graph(4, [0, 3], cell_adj=line_adjacency(4))
-    ev = HandoverEvent(ue=0, report=report(0, (0,)))
+    ev = report(0, (0,))
     assert extract_subgraph(g, ev, hops=1).kept_cells == (0, 1)
     assert extract_subgraph(g, ev, hops=2).kept_cells == (0, 1, 2)
     assert extract_subgraph(g, ev, hops=3).kept_cells == (0, 1, 2, 3)
@@ -81,7 +73,7 @@ def test_subgraph_monotone_in_hops(rng):
         for k in range(i + 1, n):
             adj[i, k] = adj[k, i] = float(rng.random() < 0.4)
     g = make_graph(n, [int(rng.integers(0, n)) for _ in range(8)], cell_adj=adj)
-    ev = HandoverEvent(ue=2, report=report(2, (4, 0)))
+    ev = report(2, (4, 0))
     prev: set[int] = set()
     for hops in (1, 2, 3, 4):
         kept = set(extract_subgraph(g, ev, hops).kept_cells)
@@ -92,7 +84,7 @@ def test_subgraph_monotone_in_hops(rng):
 
 def test_subgraph_index_maps_round_trip():
     g = make_graph(4, [0, 0, 2, None, 2, 1], cell_adj=line_adjacency(4))
-    ev = HandoverEvent(ue=3, report=report(3, (2,)))
+    ev = report(3, (2,))
     sub = extract_subgraph(g, ev, hops=1)
     # local index i is position i: local cells map back to the global ones
     for i, u in enumerate(sub.kept_ues):
@@ -105,10 +97,10 @@ def test_subgraph_index_maps_round_trip():
         assert u == ev.ue or g.assign[u] in set(sub.kept_cells)
 
 
-def reference_subgraph(g, ev: HandoverEvent, hops: int):
+def reference_subgraph(g, ev: MeasurementReport, hops: int):
     """Set-based BFS over cells, then the UEs served by a kept cell plus the
     event UE, with their local assignment and the kept cells' adjacency."""
-    keep = set(ev.report.cells)
+    keep = set(ev.cells)
     frontier = set(keep)
     for _ in range(hops):
         frontier = {k for c in frontier for k in range(g.n_cells)
@@ -133,7 +125,7 @@ def test_subgraph_matches_reference_on_random_graphs():
         ue = int(rng.integers(n_ues))
         hops = int(rng.integers(0, 4))
         cells = tuple(rng.integers(0, n_cells, size=int(rng.integers(1, 4))).tolist())
-        ev = HandoverEvent(ue=ue, report=report(ue, cells))
+        ev = report(ue, cells)
         sub = extract_subgraph(g, ev, hops)
         want_cells, want_ues, want_local, want_adj = reference_subgraph(g, ev, hops)
         assert sub.kept_cells == want_cells
@@ -149,9 +141,9 @@ def test_subgraph_matches_reference_on_random_graphs():
 def test_subgraph_rejects_bad_events():
     g = make_graph(2, [0, 1, None])
     with pytest.raises(ValueError):
-        extract_subgraph(g, HandoverEvent(ue=9, report=report(9, (0,))), 2)
+        extract_subgraph(g, report(9, (0,)), 2)
     with pytest.raises(ValueError):
-        extract_subgraph(g, HandoverEvent(ue=0, report=report(0, ())), 2)
+        extract_subgraph(g, report(0, ()), 2)
 
 
 # ----------------------------------------------------------- event logic ---
@@ -160,7 +152,7 @@ def test_handle_event_zero_params_completes_assignment():
     dep = generate_deployment(11, 2, 4)
     g0, reshuffled = initial_graph(dep, 3.0, 250.0)
     ue = reshuffled[0] if reshuffled else 0
-    ev = event_for(dep, ue)
+    ev = measurement_report(dep, ue)
     pairs = handle_event(zeros_params(), dep, g0, ev, frozenset(reshuffled))
     ues = [u for u, _ in pairs]
     assert ue in ues
@@ -179,7 +171,7 @@ def test_handle_event_single_candidate_forced():
     dep = deployment_with_rsrp(rsrp)
     g0, reshuffled = initial_graph(dep, 3.0, 250.0)
     assert reshuffled == ()  # both UEs are comfortably single-cell dominant
-    ev = HandoverEvent(ue=1, report=report(1, (1,)))
+    ev = report(1, (1,))
     assert handle_event(zeros_params(), dep, g0, ev, frozenset()) == [(1, 1)]
 
 
@@ -190,7 +182,7 @@ def test_handle_event_leaves_settled_ues_alone():
         g0, reshuffled = initial_graph(dep, 3.0, 250.0)
         labels = classify_ues(dep, 3.0)
         ue = reshuffled[0] if reshuffled else 0
-        pairs = handle_event(p, dep, g0, event_for(dep, ue), frozenset(reshuffled))
+        pairs = handle_event(p, dep, g0, measurement_report(dep, ue), frozenset(reshuffled))
         touched = {u for u, _ in pairs}
         for u in range(dep.n_ues):
             if u != ue and labels[u] is UeClass.CELL_CENTER:
@@ -209,7 +201,7 @@ def test_handle_event_report_outside_subgraph_falls_back():
     dep = deployment_with_rsrp(rsrp, cells=[(1000.0 * i, 0.0) for i in range(5)])
     assert measurement_report(dep, 0).cells == (1, 2, 3, 4)
     g = make_graph(5, [0, None])
-    ev = HandoverEvent(ue=1, report=report(1, (0,)))
+    ev = report(1, (0,))
     _, edge = initial_graph(dep)
     assert edge == (0,)
     pairs = handle_event(zeros_params(), dep, g, ev, frozenset(edge))
@@ -227,7 +219,7 @@ def test_handle_event_trained_model_beats_or_ties_baseline():
         cap = capacity_matrix(dep)
         g0, reshuffled = initial_graph(dep, 3.0, 250.0)
         ue = reshuffled[0] if reshuffled else 0
-        pairs = handle_event(p, dep, g0, event_for(dep, ue), frozenset(reshuffled))
+        pairs = handle_event(p, dep, g0, measurement_report(dep, ue), frozenset(reshuffled))
         assign = g0.assign.copy()
         for u, c in pairs:
             assign[u] = c
