@@ -179,10 +179,9 @@ def sgd_step(p: GnnParams, batch: Sequence[Transition], alpha: float,
     norm = math.sqrt(sum(float(np.square(d).sum()) for d in direction.arrays))
     if not math.isfinite(norm):
         raise DivergenceError(f"non-finite gradient (norm={norm})")
-    step = direction.vec
     if grad_clip_norm is not None and norm > grad_clip_norm:
-        step = step * (grad_clip_norm / norm)
-    return GnnParams(p.n_layers, p.width, p.vec + alpha * step), loss
+        direction.vec *= grad_clip_norm / norm
+    return GnnParams(p.n_layers, p.width, p.vec + alpha * direction.vec), loss
 
 
 @dataclass(frozen=True)
