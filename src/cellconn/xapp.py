@@ -113,10 +113,17 @@ def max_rsrp_graph(dep: Deployment, d_max_m: float = DEFAULT_D_MAX_M) -> Connect
                            d_max_m=d_max_m)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise ValueError("bad JSON: an object names a key twice")
+    return doc
+
+
 def _parse_request(line: str, n_cells: int, n_ues: int) -> MeasurementReport:
     """Validate one request line; raises ValueError with a client-facing message."""
     try:
-        doc = json.loads(line)
+        doc = json.loads(line, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad JSON: {exc.msg}") from exc
     except RecursionError:

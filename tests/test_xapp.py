@@ -312,6 +312,8 @@ def test_serve_stream_validation_errors():
         mk(type="handover", ue=0, rsrp_dbm={"0": -float("inf")}),  # -Infinity
         mk(type="handover", ue=0, rsrp_dbm={"0": 10 ** 400}),      # beyond float
         mk(type="handover", ue=0, rsrp_dbm={"1": -60, "01": -61}), # cell named twice
+        '{"type": "handover", "ue": 0, "rsrp_dbm": {"1": -60, "1": -70}}',  # key twice
+        '{"type": "handover", "ue": 1, "ue": 2, "rsrp_dbm": {"0": -60}}',    # key twice
     ])
     assert all("error" in r for r in replies)
 
