@@ -203,7 +203,8 @@ def serve_stream(p: GnnParams, dep: Deployment, rfile, wfile) -> int:
 
 def serve(model_path: str, deployment_path: str, endpoint: str = "-") -> None:
     """Run the handover service on stdin/stdout ("-") or a TCP endpoint
-    ("host:port"); TCP connections are served one at a time."""
+    ("host:port"); TCP connections are served one at a time, and a client
+    that resets its connection ends only that connection."""
     p = load_model(model_path)
     dep = load_deployment(deployment_path)
     if endpoint == "-":
@@ -215,7 +216,9 @@ def serve(model_path: str, deployment_path: str, endpoint: str = "-") -> None:
     with socket.create_server((host, int(port))) as srv:
         while True:
             conn, _ = srv.accept()
-            with conn:
-                rf = conn.makefile("r", encoding="utf-8")
-                wf = conn.makefile("w", encoding="utf-8")
-                serve_stream(p, dep, rf, wf)
+            try:
+                with conn, conn.makefile("r", encoding="utf-8") as rf, \
+                        conn.makefile("w", encoding="utf-8") as wf:
+                    serve_stream(p, dep, rf, wf)
+            except ConnectionError:  # reset or broken pipe: only this client is gone
+                pass

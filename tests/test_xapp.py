@@ -3,6 +3,10 @@
 import dataclasses
 import io
 import json
+import socket
+import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,12 +15,13 @@ from hypothesis import strategies as st
 
 import cellconn.netmodel as netmodel
 from cellconn.dqn import TrainConfig, train
-from cellconn.gnn import GnnParams, init_params
+from cellconn.gnn import GnnParams, init_params, save_model
 from cellconn.graph import UNASSIGNED, UeClass, capacity_matrix, classify_ues, initial_graph
 from cellconn.metrics import sum_throughput
 from cellconn.netmodel import (MeasurementReport, generate_deployment,
-                               measurement_report)
-from cellconn.xapp import extract_subgraph, handle_event, max_rsrp_graph, serve_stream
+                               measurement_report, save_deployment)
+from cellconn.xapp import (extract_subgraph, handle_event, max_rsrp_graph, serve,
+                           serve_stream)
 
 from conftest import deployment_with_rsrp, make_deployment, make_graph
 
@@ -373,3 +378,32 @@ def test_serve_stream_never_recomputes_distances(monkeypatch):
     replies = run_lines(lines, dep=dep, p=init_params(8, 2, 8, 0.3))
     assert all("assignments" in r for r in replies)
     assert calls == []
+
+
+def test_serve_tcp_outlives_a_client_reset(tmp_path):
+    model, dep = str(tmp_path / "model.json"), str(tmp_path / "dep.json")
+    save_model(init_params(8, 2, 8, 0.3), model)
+    save_deployment(generate_deployment(41, 2, 4), dep)
+    with socket.socket() as probe:  # a port that is free now
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    threading.Thread(target=serve, args=(model, dep, f"127.0.0.1:{port}"),
+                     daemon=True).start()
+    req = b'{"type": "handover", "ue": 0, "rsrp_dbm": {"0": -60.0}}\n'
+    for _ in range(200):  # wait until the service listens
+        try:
+            first = socket.create_connection(("127.0.0.1", port), timeout=10)
+            break
+        except ConnectionRefusedError:
+            time.sleep(0.05)
+    else:
+        pytest.fail("the service never listened")
+    with first:
+        first.sendall(req)
+        assert b"assignments" in first.makefile("rb").readline()
+        first.sendall(b"x\n" * 5000)
+        # linger 0: close() sends a TCP reset instead of a normal shutdown
+        first.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as second:
+        second.sendall(req)
+        assert b"assignments" in second.makefile("rb").readline()
