@@ -62,11 +62,19 @@ class ExperimentConfig:
         return 1.5 * math.sqrt(3.0) * r * r / 1e6
 
 
+# JSON value types accepted for the scalar field annotations of the configs.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
+
+
 def _build(cls, doc: dict, path: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - names
+    hints = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(hints)
     if unknown:
         raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
+    for key, value in doc.items():
+        kinds = [_JSON_TYPES.get(t) for t in hints[key].split(" | ")]
+        if None not in kinds and (isinstance(value, bool) or not isinstance(value, tuple(kinds))):
+            raise UsageError(f"{path}: {key} must be {hints[key]}, got {value!r}")
     return cls(**doc)
 
 
@@ -85,6 +93,10 @@ def config_from_dict(doc: dict, path: str = "<config>") -> ExperimentConfig:
     if cfg.n_train_deployments < 1 or cfg.n_eval_deployments < 1:
         raise UsageError(f"{path}: deployment counts must be >= 1, got "
                          f"train={cfg.n_train_deployments} eval={cfg.n_eval_deployments}")
+    try:
+        cfg.train.validate()
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     return cfg
 
 

@@ -245,11 +245,16 @@ def save_deployment(dep: Deployment, path: str) -> None:
 
 
 def load_deployment(path: str) -> Deployment:
+    """Read a file written by ``save_deployment``; raises ValueError unless
+    cells, ues and shadow_db are finite (n, 2), (m, 2) and (n, m) arrays."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     radio = RadioConfig(**doc["radio"])
-    cells = np.asarray(doc["cells"], dtype=float).reshape(-1, 2)
-    ues = np.asarray(doc["ues"], dtype=float).reshape(-1, 2)
-    shadow = np.asarray(doc["shadow_db"], dtype=float).reshape(cells.shape[0], ues.shape[0])
+    cells, ues, shadow = (np.asarray(doc[k], dtype=float) for k in ("cells", "ues", "shadow_db"))
+    if (cells.shape[1:] != (2,) or ues.shape[1:] != (2,)
+            or shadow.shape != (len(cells), len(ues))
+            or not all(np.isfinite(a).all() for a in (cells, ues, shadow))):
+        raise ValueError(f"{path}: cells, ues and shadow_db must be finite (n, 2), (m, 2) "
+                         f"and (n, m) arrays, got {cells.shape}, {ues.shape}, {shadow.shape}")
     return Deployment(seed=int(doc["seed"]), hex_diameter_m=float(doc["hex_diameter_m"]),
                       radio=radio, cells=cells, ues=ues, shadow_db=shadow)

@@ -104,6 +104,23 @@ def test_config_rejects_bad_values(tmp_path):
         load_config(str(notdict), None)
 
 
+def test_config_rejects_wrong_types_and_invalid_train_values(tmp_path, capsys):
+    for train in ({"batch_size": "4"}, {"alpha": "0.1"}, {"batch_size": True},
+                  {"grad_clip_norm": "10"}, {"epsilon": 2.0}, {"reward_kind": "best"},
+                  {"buffer_size": 2, "batch_size": 4}):
+        with pytest.raises(UsageError):
+            load_config(write_config(tmp_path, micro_doc(train=train)), None)
+    with pytest.raises(UsageError, match="seed"):
+        load_config(write_config(tmp_path, micro_doc(seed="3")), None)
+    # ints are valid floats, and null is a valid optional value
+    cfg = load_config(write_config(tmp_path, micro_doc(
+        train={"alpha": 0, "grad_clip_norm": None})), None)
+    assert cfg.train.alpha == 0 and cfg.train.grad_clip_norm is None
+    bad = write_config(tmp_path, micro_doc(train={"alpha": "0.1"}))
+    assert main(["train", "--config", bad, "--out", str(tmp_path)]) == 1
+    assert "alpha" in capsys.readouterr().err
+
+
 def test_sweep_points_grid():
     cfg = config_from_dict({"n_cells_list": [2, 3], "n_ues_list": [4, 8]})
     pts = sweep_points(cfg)

@@ -247,6 +247,17 @@ def test_model_truncated_file_errors(tmp_path, rng):
         load_model(str(path))
 
 
+def test_model_wrong_matrix_count_errors(tmp_path):
+    import json
+    path = tmp_path / "model.json"
+    save_model(init_params(0, 2, 8, 0.01), str(path))
+    good = json.loads(path.read_text())
+    for w1 in (good["w1"] + good["w1"][1:], good["w1"][:1]):
+        path.write_text(json.dumps(dict(good, w1=w1)))
+        with pytest.raises(ValueError, match="shapes"):
+            load_model(str(path))
+
+
 def test_model_bad_version_errors(tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"format_version": 99}')

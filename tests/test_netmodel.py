@@ -151,6 +151,26 @@ def test_report_tie_breaks_to_lower_cell():
     assert rep.cells[:2] == (0, 1)
 
 
+def test_report_matches_sorted_reference_with_ties():
+    # whole-dB RSRP maps tie often; every report size from 1 to one past
+    # the cell count is checked against a plain sort of each UE's column
+    rng = np.random.default_rng(29)
+    ties = 0
+    for _ in range(30):
+        n_cells, n_ues = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        target = rng.normal(-75.0, 3.0, size=(n_cells, n_ues)).round()
+        for k in range(1, n_cells + 2):
+            dep = deployment_with_rsrp(target, radio=RadioConfig(report_set_size=k))
+            for ue in range(n_ues):
+                rsrp = dep.rsrp_dbm[:, ue]
+                want = sorted(range(n_cells), key=lambda c: (-rsrp[c], c))[:k]
+                rep = measurement_report(dep, ue)
+                assert rep.cells == tuple(want)
+                assert rep.rsrp_dbm == tuple(float(rsrp[c]) for c in want)
+                ties += len(set(rsrp.tolist())) < n_cells
+    assert ties > 50
+
+
 def test_report_rejects_bad_ue():
     dep = generate_deployment(5, 2, 2)
     with pytest.raises(ValueError, match="out of range"):
@@ -175,6 +195,22 @@ def test_deployment_roundtrip(tmp_path):
     assert list(doc) == ["seed", "hex_diameter_m", "radio", "cells", "ues", "shadow_db"]
 
 
+def test_load_deployment_rejects_bad_shapes_and_non_finite_values(tmp_path):
+    path = tmp_path / "dep.json"
+    save_deployment(generate_deployment(42, 3, 4), str(path))
+    good = json.loads(path.read_text(encoding="utf-8"))
+    nan_shadow = [row[:] for row in good["shadow_db"]]
+    nan_shadow[1][2] = float("nan")
+    for key, bad in [("cells", np.reshape(good["cells"], (2, 3)).tolist()),  # 3 cells as 2 x 3
+                     ("ues", np.ravel(good["ues"]).tolist()),
+                     ("shadow_db", good["shadow_db"][:2]),
+                     ("shadow_db", nan_shadow),
+                     ("ues", [[math.inf, 0.0]] + good["ues"][1:])]:
+        path.write_text(json.dumps(dict(good, **{key: bad})), encoding="utf-8")
+        with pytest.raises(ValueError, match="finite"):
+            load_deployment(str(path))
+
+
 def test_stored_radio_arrays_match_closed_form_and_are_read_only():
     dep = generate_deployment(6, 5, 11)
     pl = pathloss_db(distance_3d_m(dep), dep.radio.carrier_ghz)
@@ -182,9 +218,9 @@ def test_stored_radio_arrays_match_closed_form_and_are_read_only():
     assert np.array_equal(dep.rsrp_dbm, rsrp)
     assert np.array_equal(dep.cap, np.log2(1.0 + snr_linear(rsrp, dep.radio)))
     assert rsrp_matrix_dbm(dep) is dep.rsrp_dbm
-    for arr in (dep.rsrp_dbm, dep.cap):
+    for arr in (dep.rsrp_dbm, dep.cap, dep.report_cells):
         with pytest.raises(ValueError):
-            arr[0, 0] = 0.0
+            arr[0, 0] = 0
 
 
 def test_replace_recomputes_stored_radio_arrays():
