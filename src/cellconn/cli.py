@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from cellconn.dqn import TrainConfig, deployment_state, greedy_rollout, train
 from cellconn.gnn import load_model, save_model
 from cellconn.metrics import coverage, jain_index, sum_throughput
-from cellconn.netmodel import (Deployment, RadioConfig, generate_deployment,
-                               load_deployment, save_deployment)
+from cellconn.netmodel import Deployment, RadioConfig, generate_deployment, save_deployment
 from cellconn.xapp import max_rsrp_graph, serve
 
 # Eval deployments sit far from the training seed range so sweeps never
@@ -46,7 +45,6 @@ class ExperimentConfig:
     hex_diameter_m: float = 500.0
     min_cell_sep_m: float = 50.0
     seed: int = 0
-    deployments_dir: str | None = None  # train from files instead of inline generation
     radio: RadioConfig = field(default_factory=RadioConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
 
@@ -156,45 +154,22 @@ def eval_deployment(cfg: ExperimentConfig, point_idx: int, point: SweepPoint,
 
 
 def cmd_generate(cfg: ExperimentConfig, out_dir: str) -> str:
-    """Write every training deployment as JSON plus a manifest; returns the
-    manifest path.  Eval deployments are not written: ``eval`` regenerates
-    each one from its seed."""
+    """Write every training deployment as ``deployments/train/dep_<seed>.json``,
+    the files ``serve --deployment`` reads; returns that directory.  Eval
+    deployments are not written: ``eval`` regenerates each one from its seed."""
     train_dir = os.path.join(out_dir, "deployments", "train")
     os.makedirs(train_dir, exist_ok=True)
-    manifest: dict = {"hex_diameter_m": cfg.hex_diameter_m, "seed": cfg.seed,
-                      "train": []}
     for i in range(cfg.n_train_deployments):
         dep = train_deployment(cfg, i)
-        rel = os.path.join("deployments", "train", f"dep_{dep.seed}.json")
-        save_deployment(dep, os.path.join(out_dir, rel))
-        manifest["train"].append({"seed": dep.seed, "n_cells": dep.n_cells,
-                                  "n_ues": dep.n_ues, "file": rel})
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return path
-
-
-def _deployments_from_dir(cfg: ExperimentConfig) -> list[Deployment]:
-    manifest_path = os.path.join(cfg.deployments_dir, "manifest.json")
-    if not os.path.isdir(cfg.deployments_dir) or not os.path.isfile(manifest_path):
-        raise UsageError(f"deployments_dir {cfg.deployments_dir!r} has no manifest.json "
-                         "(run the generate command first)")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return [load_deployment(os.path.join(cfg.deployments_dir, entry["file"]))
-            for entry in manifest["train"]]
+        save_deployment(dep, os.path.join(train_dir, f"dep_{dep.seed}.json"))
+    return train_dir
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: str) -> tuple[str, str]:
     """Train at the base sweep point; writes model.json and trainlog.csv."""
     os.makedirs(out_dir, exist_ok=True)
-    if cfg.deployments_dir:
-        deps: object = _deployments_from_dir(cfg)[: cfg.n_train_deployments]
-    else:
-        deps = (train_deployment(cfg, i) for i in range(cfg.n_train_deployments))
-    params, log = train(cfg.train_config(), deps)
+    params, log = train(cfg.train_config(),
+                        (train_deployment(cfg, i) for i in range(cfg.n_train_deployments)))
     model_path = os.path.join(out_dir, "model.json")
     log_path = os.path.join(out_dir, "trainlog.csv")
     save_model(params, model_path)
@@ -293,7 +268,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, help="override the config seed")
         sp.add_argument("--out", default=".", help="output directory")
 
-    common(sub.add_parser("generate", help="write deployment files + manifest"))
+    common(sub.add_parser("generate", help="write training deployment files"))
     common(sub.add_parser("train", help="train a model, write model.json + trainlog.csv"))
     p_eval = sub.add_parser("eval", help="compare model vs max-RSRP, write gainreport.csv")
     common(p_eval)

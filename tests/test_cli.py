@@ -83,6 +83,11 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(write_config(tmp_path, {"cells": [2]}), None)
     with pytest.raises(UsageError, match="unknown config keys"):
         load_config(write_config(tmp_path, micro_doc(train={"alhpa": 0.1})), None)
+    # training always regenerates its deployments from the seed
+    path = write_config(tmp_path, micro_doc(deployments_dir=str(tmp_path)))
+    with pytest.raises(UsageError, match="unknown config keys"):
+        load_config(path, None)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
 
 
 def test_config_rejects_bad_values(tmp_path):
@@ -140,15 +145,14 @@ def test_sweep_points_density_keeps_ues_per_cell():
 
 # --------------------------------------------------------------- generate ---
 
-def test_generate_writes_files_and_manifest(tmp_path):
+def test_generate_writes_train_files_only(tmp_path):
     cfg = config_from_dict(micro_doc(n_train_deployments=3, n_eval_deployments=2))
-    manifest_path = cmd_generate(cfg, str(tmp_path))
-    manifest = json.loads(open(manifest_path, encoding="utf-8").read())
-    assert len(manifest["train"]) == 3
-    for entry in manifest["train"]:
-        assert os.path.isfile(os.path.join(tmp_path, entry["file"]))
-    # eval regenerates its deployments from their seeds: none are written
-    assert sorted(manifest) == ["hex_diameter_m", "seed", "train"]
+    train_dir = cmd_generate(cfg, str(tmp_path))
+    assert train_dir == os.path.join(tmp_path, "deployments", "train")
+    assert sorted(os.listdir(train_dir)) == [f"dep_{cfg.seed + i}.json" for i in range(3)]
+    # eval regenerates its deployments from their seeds: none are written,
+    # and nothing reads a manifest
+    assert os.listdir(tmp_path) == ["deployments"]
     assert os.listdir(tmp_path / "deployments") == ["train"]
 
 
@@ -180,32 +184,12 @@ def test_train_alpha_zero_saves_initial_params(tmp_path):
         assert float(row["u_jain"]) <= 1.0
 
 
-def test_train_from_generated_deployment_dir(tmp_path):
-    cfg = config_from_dict(micro_doc(n_train_deployments=3))
-    cmd_generate(cfg, str(tmp_path / "data"))
-    cfg_dir = config_from_dict(micro_doc(n_train_deployments=3,
-                                         deployments_dir=str(tmp_path / "data")))
-    _, log_path = cmd_train(cfg_dir, str(tmp_path / "run"))
-    with open(log_path, encoding="utf-8", newline="") as fh:
-        ids = [int(r["deployment_id"]) for r in csv.DictReader(fh)]
-    assert ids == [cfg.seed + i for i in range(3)]
-
-
-def test_train_from_deployment_dir_respects_n_train_deployments(tmp_path):
-    cmd_generate(config_from_dict(micro_doc(n_train_deployments=5)),
-                 str(tmp_path / "data"))
-    cfg = config_from_dict(micro_doc(n_train_deployments=2,
-                                     deployments_dir=str(tmp_path / "data")))
+def test_train_respects_n_train_deployments(tmp_path):
+    cfg = config_from_dict(micro_doc(n_train_deployments=2))
     _, log_path = cmd_train(cfg, str(tmp_path / "run"))
     with open(log_path, encoding="utf-8", newline="") as fh:
         ids = [int(r["deployment_id"]) for r in csv.DictReader(fh)]
     assert ids == [cfg.seed, cfg.seed + 1]
-
-
-def test_train_missing_deployment_dir_errors(tmp_path):
-    cfg = config_from_dict(micro_doc(deployments_dir=str(tmp_path / "nowhere")))
-    with pytest.raises(UsageError, match="manifest"):
-        cmd_train(cfg, str(tmp_path))
 
 
 # ------------------------------------------------------------------- eval ---
@@ -338,14 +322,14 @@ def test_main_serve_bad_model_exits_2(tmp_path, capsys):
 
 def _generate_smoke(tmp_path, command: list[str], env=None) -> None:
     """Run `<command> generate` in a child process; it must exit 0 and
-    write the manifest."""
+    write the training deployment file."""
     cfg_path = write_config(tmp_path, micro_doc(n_train_deployments=1,
                                                 n_eval_deployments=1))
     proc = subprocess.run(
         command + ["generate", "--config", cfg_path, "--out", str(tmp_path / "o")],
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert os.path.isfile(tmp_path / "o" / "manifest.json")
+    assert os.path.isfile(tmp_path / "o" / "deployments" / "train" / "dep_0.json")
 
 
 def _child_env() -> dict[str, str]:
