@@ -65,6 +65,8 @@ _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)
 
 
 def _build(cls, doc: dict, path: str):
+    if not isinstance(doc, dict):
+        raise UsageError(f"{path}: a config section must be a JSON object, got {doc!r}")
     hints = {f.name: f.type for f in dataclasses.fields(cls)}
     unknown = set(doc) - set(hints)
     if unknown:
@@ -73,17 +75,28 @@ def _build(cls, doc: dict, path: str):
         kinds = [_JSON_TYPES.get(t) for t in hints[key].split(" | ")]
         if None not in kinds and (isinstance(value, bool) or not isinstance(value, tuple(kinds))):
             raise UsageError(f"{path}: {key} must be {hints[key]}, got {value!r}")
-    return cls(**doc)
+    try:
+        return cls(**doc)
+    except ValueError as exc:  # a value the class itself refuses
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def config_from_dict(doc: dict, path: str = "<config>") -> ExperimentConfig:
     doc = dict(doc)
-    for key in ("n_cells_list", "n_ues_list", "density_list"):
+    for key, kind in (("n_cells_list", int), ("n_ues_list", int), ("density_list", float)):
         if key in doc:
-            doc[key] = tuple(doc[key])
+            values = doc[key]
+            if not isinstance(values, list) or not all(
+                    isinstance(v, (int, kind)) and not isinstance(v, bool) and 0 < v < math.inf
+                    for v in values):
+                raise UsageError(f"{path}: {key} must be a list of positive {kind.__name__}s, "
+                                 f"got {values!r}")
+            doc[key] = tuple(values)
     if "radio" in doc:
         doc["radio"] = _build(RadioConfig, doc["radio"], path)
     if "train" in doc:
+        if "seed" in doc["train"]:
+            raise UsageError(f"{path}: train.seed is not read; set the top-level \"seed\"")
         doc["train"] = _build(TrainConfig, doc["train"], path)
     cfg = _build(ExperimentConfig, doc, path)
     if not cfg.n_cells_list or not cfg.n_ues_list:
@@ -289,7 +302,6 @@ def main(argv: list[str] | None = None) -> int:
             serve(args.model, args.deployment, args.endpoint)
             return 0
         cfg = load_config(args.config, args.seed)
-        os.makedirs(args.out, exist_ok=True)
         if args.command == "generate":
             path = cmd_generate(cfg, args.out)
             print(f"wrote {path}")

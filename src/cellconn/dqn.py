@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from cellconn.graph import ConnectionGraph, connect, initial_graph, input_features
+from cellconn.graph import (DEFAULT_D_MAX_M, DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph,
+                            connect, initial_graph, input_features)
 from cellconn.gnn import GnnParams, backward, forward, init_params, score_action
 from cellconn.metrics import (coverage, jain_index, reward_fair,
                               reward_throughput, sum_throughput)
@@ -51,8 +52,8 @@ class TrainConfig:
     gnn_layers: int = 2
     gnn_width: int = 8
     init_std: float = 0.01
-    d_max_m: float = 250.0
-    edge_threshold_db: float = 3.0
+    d_max_m: float = DEFAULT_D_MAX_M
+    edge_threshold_db: float = DEFAULT_EDGE_THRESHOLD_DB
     grad_clip_norm: float | None = 10.0  # None disables clipping
 
     def validate(self) -> None:
@@ -64,6 +65,11 @@ class TrainConfig:
                              f"{self.buffer_size}/{self.batch_size}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
+        if self.gnn_layers < 1 or self.gnn_width < 1 or not self.init_std > 0:
+            raise ValueError(f"need gnn_layers >= 1, gnn_width >= 1 and init_std > 0, got "
+                             f"{self.gnn_layers}/{self.gnn_width}/{self.init_std}")
+        if self.grad_clip_norm is not None and not self.grad_clip_norm > 0:
+            raise ValueError(f"grad_clip_norm must be > 0 or None, got {self.grad_clip_norm}")
 
 
 @dataclass(frozen=True)

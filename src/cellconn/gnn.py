@@ -184,7 +184,8 @@ def load_model(path: str) -> GnnParams:
     """Load a model file written by ``save_model``.
 
     Raises:
-        ValueError: unknown format version or inconsistent shapes.
+        ValueError: unknown format version, layers or width below 1,
+            inconsistent shapes or non-finite weights.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -192,6 +193,8 @@ def load_model(path: str) -> GnnParams:
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}")
     n_layers, width = int(doc["layers"]), int(doc["width"])
+    if n_layers < 1 or width < 1:
+        raise ValueError(f"model file needs layers >= 1 and width >= 1, got {n_layers}/{width}")
     rounds = [[np.asarray(w, dtype=float) for w in doc[k]] for k in ("w1", "w2", "w3")]
     w4 = np.asarray(doc["w4"], dtype=float)
     w5 = np.asarray(doc["w5"], dtype=float)
@@ -202,4 +205,7 @@ def load_model(path: str) -> GnnParams:
     if w4.shape != (width, width) or w5.shape != (width,):
         raise ValueError("model file readout shapes do not match declared width")
     flat = [m.ravel() for mats in rounds for m in mats]
-    return GnnParams(n_layers, width, np.concatenate([*flat, w4.ravel(), w5]))
+    vec = np.concatenate([*flat, w4.ravel(), w5])
+    if not np.isfinite(vec).all():
+        raise ValueError("model file weights must be finite")
+    return GnnParams(n_layers, width, vec)

@@ -62,9 +62,6 @@ class ConnectionGraph:
     def assigned_ues(self) -> np.ndarray:
         return np.nonzero(self.assign != UNASSIGNED)[0]
 
-    def unassigned_ues(self) -> np.ndarray:
-        return np.nonzero(self.assign == UNASSIGNED)[0]
-
 
 def connect(g: ConnectionGraph, cell: int, ue: int) -> ConnectionGraph:
     """Attach an unassigned UE to a cell, returning the new graph.

@@ -20,7 +20,6 @@ class UtilityWeights:
     throughput: float = 1.0
     coverage: float = 1.0
     fairness: float = 1.0
-    lambda_fair: float = 0.5
 
 
 def sum_throughput(g: ConnectionGraph, cap: np.ndarray) -> float:

@@ -36,6 +36,10 @@ class RadioConfig:
     shadow_sigma_db: float = 4.0      # lognormal shadowing std dev
     report_set_size: int = 4          # cells per measurement report
 
+    def __post_init__(self) -> None:
+        if self.report_set_size < 1:  # an empty report leaves a UE no legal action
+            raise ValueError(f"report_set_size must be >= 1, got {self.report_set_size}")
+
     def noise_dbm(self) -> float:
         """Thermal noise power over the full band: -174 dBm/Hz + 10log10(B) + NF."""
         return -174.0 + 10.0 * math.log10(self.bandwidth_mhz * 1e6) + self.noise_figure_db

@@ -126,6 +126,38 @@ def test_config_rejects_wrong_types_and_invalid_train_values(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"radio": {"report_set_size": 0}},     # every report empty: no legal action
+    {"radio": {"report_set_size": -1}},    # would drop the weakest cell
+    {"n_cells_list": ["3"]},
+    {"n_cells_list": [0]},
+    {"n_ues_list": [4.5]},
+    {"density_list": [-37.0]},
+    {"density_list": [float("inf")]},
+    {"train": {"gnn_layers": 0}},
+    {"train": {"gnn_width": 0}},
+    {"train": {"init_std": 0.0}},
+    {"train": {"grad_clip_norm": -1.0}},   # would reverse every clipped update
+    {"train": {"grad_clip_norm": 0.0}},
+    {"train": []},                         # a section must be an object
+    {"radio": []},
+], ids=repr)
+def test_config_rejects_values_the_code_cannot_use(tmp_path, doc):
+    path = write_config(tmp_path, micro_doc(**doc))
+    with pytest.raises(UsageError):
+        load_config(path, None)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
+
+
+def test_config_rejects_train_seed(tmp_path, capsys):
+    # the top-level seed drives training; a train.seed would be overwritten
+    path = write_config(tmp_path, micro_doc(seed=1, train={"seed": 5}))
+    with pytest.raises(UsageError, match="top-level \"seed\""):
+        load_config(path, None)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
+    assert "train.seed" in capsys.readouterr().err
+
+
 def test_sweep_points_grid():
     cfg = config_from_dict({"n_cells_list": [2, 3], "n_ues_list": [4, 8]})
     pts = sweep_points(cfg)
@@ -318,6 +350,21 @@ def test_main_serve_bad_model_exits_2(tmp_path, capsys):
                "--deployment", dep_path])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_serve_zero_layer_model_exits_2_before_answering(tmp_path, capsys, monkeypatch):
+    model = str(tmp_path / "model.json")
+    save_model(init_params(0, 1, 8, 0.3), model)
+    doc = json.loads(open(model, encoding="utf-8").read())
+    with open(model, "w", encoding="utf-8") as fh:
+        json.dump(dict(doc, layers=0, w1=[], w2=[], w3=[]), fh)
+    dep_path = str(tmp_path / "dep.json")
+    save_deployment(generate_deployment(3, 2, 4), dep_path)
+    req = json.dumps({"type": "handover", "ue": 0, "rsrp_dbm": {"0": -60.0}})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(req + "\n"))
+    assert main(["serve", "--model", model, "--deployment", dep_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "layers" in captured.err
 
 
 def _generate_smoke(tmp_path, command: list[str], env=None) -> None:

@@ -263,3 +263,25 @@ def test_model_bad_version_errors(tmp_path):
     path.write_text('{"format_version": 99}')
     with pytest.raises(ValueError, match="format_version"):
         load_model(str(path))
+
+
+def test_model_without_layers_errors(tmp_path):
+    # forward would index an empty round list on the first request
+    import json
+    path = tmp_path / "model.json"
+    save_model(init_params(0, 1, 8, 0.01), str(path))
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(doc, layers=0, w1=[], w2=[], w3=[])))
+    with pytest.raises(ValueError, match="layers >= 1"):
+        load_model(str(path))
+
+
+def test_model_non_finite_weight_errors(tmp_path):
+    import json
+    path = tmp_path / "model.json"
+    save_model(init_params(0, 2, 8, 0.01), str(path))
+    doc = json.loads(path.read_text())
+    doc["w4"][3][5] = float("nan")
+    path.write_text(json.dumps(doc))  # json writes the bare NaN literal
+    with pytest.raises(ValueError, match="finite"):
+        load_model(str(path))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cellconn.graph import capacity_matrix, connect
+from cellconn.graph import UNASSIGNED, capacity_matrix, connect
 from cellconn.metrics import (UtilityWeights, coverage, fair_bonus, jain_index,
                               reward_fair, reward_throughput, sum_throughput,
                               utility)
@@ -156,7 +156,7 @@ def test_reward_fair_lambda_zero_equals_throughput(rng):
         cap = rng.uniform(0.1, 6.0, size=(n, m))
         assign = [int(x) if x < n else None for x in rng.integers(0, n + 1, size=m)]
         g0 = make_graph(n, assign)
-        free = g0.unassigned_ues()
+        free = np.flatnonzero(g0.assign == UNASSIGNED)
         if free.size == 0:
             continue
         g1 = connect(g0, int(rng.integers(n)), int(free[0]))

@@ -211,6 +211,19 @@ def test_load_deployment_rejects_bad_shapes_and_non_finite_values(tmp_path):
             load_deployment(str(path))
 
 
+def test_report_set_size_below_one_rejected(tmp_path):
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="report_set_size"):
+            RadioConfig(report_set_size=k)
+    path = tmp_path / "dep.json"
+    save_deployment(generate_deployment(42, 3, 4), str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["radio"]["report_set_size"] = 0
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="report_set_size"):
+        load_deployment(str(path))
+
+
 def test_stored_radio_arrays_match_closed_form_and_are_read_only():
     dep = generate_deployment(6, 5, 11)
     pl = pathloss_db(distance_3d_m(dep), dep.radio.carrier_ghz)

@@ -309,6 +309,7 @@ def test_serve_stream_validation_errors():
         mk(type="measurement", ue=0, rsrp_dbm={"0": -60}),         # wrong type
         mk(type="handover", ue=99, rsrp_dbm={"0": -60}),           # unknown UE
         mk(type="handover", ue=0, rsrp_dbm={"7": -60}),            # unknown cell
+        mk(type="handover", ue=0, rsrp_dbm={"x": -60}),            # non-integer cell
         mk(type="handover", ue=0, rsrp_dbm={}),                    # empty report
         mk(type="handover", ue=0, rsrp_dbm={"0": "loud"}),         # non-numeric
         json.dumps([1, 2, 3]),                                     # not an object
@@ -378,6 +379,15 @@ def test_serve_stream_never_recomputes_distances(monkeypatch):
     replies = run_lines(lines, dep=dep, p=init_params(8, 2, 8, 0.3))
     assert all("assignments" in r for r in replies)
     assert calls == []
+
+
+def test_serve_rejects_malformed_endpoint(tmp_path):
+    model, dep = str(tmp_path / "model.json"), str(tmp_path / "dep.json")
+    save_model(init_params(8, 2, 8, 0.3), model)
+    save_deployment(generate_deployment(41, 2, 4), dep)
+    for endpoint in ("localhost", "localhost:", ":7000", "localhost:http"):
+        with pytest.raises(ValueError, match="host:port"):
+            serve(model, dep, endpoint)
 
 
 def test_serve_tcp_outlives_a_client_reset(tmp_path):
