@@ -352,21 +352,6 @@ def test_main_serve_bad_model_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_main_serve_zero_layer_model_exits_2_before_answering(tmp_path, capsys, monkeypatch):
-    model = str(tmp_path / "model.json")
-    save_model(init_params(0, 1, 8, 0.3), model)
-    doc = json.loads(open(model, encoding="utf-8").read())
-    with open(model, "w", encoding="utf-8") as fh:
-        json.dump(dict(doc, layers=0, w1=[], w2=[], w3=[]), fh)
-    dep_path = str(tmp_path / "dep.json")
-    save_deployment(generate_deployment(3, 2, 4), dep_path)
-    req = json.dumps({"type": "handover", "ue": 0, "rsrp_dbm": {"0": -60.0}})
-    monkeypatch.setattr(sys, "stdin", io.StringIO(req + "\n"))
-    assert main(["serve", "--model", model, "--deployment", dep_path]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "layers" in captured.err
-
-
 def _generate_smoke(tmp_path, command: list[str], env=None) -> None:
     """Run `<command> generate` in a child process; it must exit 0 and
     write the training deployment file."""

@@ -249,14 +249,12 @@ def test_sgd_step_batch_averages_directions():
 
 
 def test_sgd_step_non_finite_raises():
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError):
-        sgd_step(filled_params(1e200), [scalar_transition(0.0)], 0.1, 1.0)
-
-
-def test_sgd_step_non_finite_gradient_raises():
-    # a finite TD error (~1e308) times the score gradient (2A) overflows
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="gradient"):
-        sgd_step(ones_params(), [scalar_transition(1e308)], 0.1, 1.0)
+    # huge weights overflow the score; a finite TD error (~1e308) times the
+    # score gradient (2A) overflows the update direction instead
+    for p, reward, match in ((filled_params(1e200), 0.0, "TD error"),
+                             (ones_params(), 1e308, "gradient")):
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=match):
+            sgd_step(p, [scalar_transition(reward)], 0.1, 1.0)
 
 
 # ----------------------------------------------------------------- buffer ---
@@ -310,15 +308,12 @@ def test_config_validation():
         TrainConfig(buffer_size=2, batch_size=4).validate()
     with pytest.raises(ValueError):
         TrainConfig(epsilon=1.5).validate()
-    TrainConfig(epsilon=0.0).validate()  # boundary values are fine
-    TrainConfig(epsilon=1.0).validate()
-
-
-def test_config_validation_network_and_clip():
     for bad in ({"gnn_layers": 0}, {"gnn_width": 0}, {"init_std": 0.0},
                 {"grad_clip_norm": 0.0}, {"grad_clip_norm": -1.0}):
         with pytest.raises(ValueError):
             TrainConfig(**bad).validate()
+    TrainConfig(epsilon=0.0).validate()  # boundary values are fine
+    TrainConfig(epsilon=1.0).validate()
     TrainConfig(grad_clip_norm=None).validate()  # None disables clipping
 
 
