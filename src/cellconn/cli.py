@@ -35,7 +35,8 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a benchmark run needs, serializable as one JSON object."""
+    """Everything a benchmark run needs, serializable as one JSON object.
+    Values are checked on construction; a bad one raises ``UsageError``."""
 
     n_cells_list: tuple[int, ...] = (6,)
     n_ues_list: tuple[int, ...] = (50,)
@@ -47,6 +48,17 @@ class ExperimentConfig:
     seed: int = 0
     radio: RadioConfig = field(default_factory=RadioConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self) -> None:
+        for name in ("n_cells_list", "n_ues_list", "density_list"):
+            values = getattr(self, name)
+            if not all(0 < v < math.inf for v in values):
+                raise UsageError(f"{name} entries must be positive and finite, got {list(values)}")
+        if not self.n_cells_list or not self.n_ues_list:
+            raise UsageError("n_cells_list and n_ues_list must be non-empty")
+        if self.n_train_deployments < 1 or self.n_eval_deployments < 1:
+            raise UsageError(f"deployment counts must be >= 1, got "
+                             f"train={self.n_train_deployments} eval={self.n_eval_deployments}")
 
     def base_point(self) -> tuple[int, int]:
         """Training happens at the first size of the sweep."""
@@ -60,7 +72,8 @@ class ExperimentConfig:
         return 1.5 * math.sqrt(3.0) * r * r / 1e6
 
 
-# JSON value types accepted for the scalar field annotations of the configs.
+# JSON value types accepted for the scalar field annotations of the configs
+# (and for the entries of their tuple fields, which JSON spells as lists).
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
 
 
@@ -71,44 +84,29 @@ def _build(cls, doc: dict, path: str):
     unknown = set(doc) - set(hints)
     if unknown:
         raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
+    kwargs = {}
     for key, value in doc.items():
-        kinds = [_JSON_TYPES.get(t) for t in hints[key].split(" | ")]
-        if None not in kinds and (isinstance(value, bool) or not isinstance(value, tuple(kinds))):
-            raise UsageError(f"{path}: {key} must be {hints[key]}, got {value!r}")
+        hint = hints[key]
+        item = hint.removeprefix("tuple[").removesuffix(", ...]")
+        items, want = ([value], hint) if item == hint else (value, f"a list of {item}")
+        kinds = [_JSON_TYPES.get(t) for t in item.split(" | ")]
+        if not isinstance(items, list) or None not in kinds and any(
+                isinstance(v, bool) or not isinstance(v, tuple(kinds)) for v in items):
+            raise UsageError(f"{path}: {key} must be {want}, got {value!r}")
+        kwargs[key] = value if item == hint else tuple(value)
     try:
-        return cls(**doc)
+        return cls(**kwargs)
     except ValueError as exc:  # a value the class itself refuses
         raise UsageError(f"{path}: {exc}") from None
 
 
 def config_from_dict(doc: dict, path: str = "<config>") -> ExperimentConfig:
-    doc = dict(doc)
-    for key, kind in (("n_cells_list", int), ("n_ues_list", int), ("density_list", float)):
-        if key in doc:
-            values = doc[key]
-            if not isinstance(values, list) or not all(
-                    isinstance(v, (int, kind)) and not isinstance(v, bool) and 0 < v < math.inf
-                    for v in values):
-                raise UsageError(f"{path}: {key} must be a list of positive {kind.__name__}s, "
-                                 f"got {values!r}")
-            doc[key] = tuple(values)
-    if "radio" in doc:
-        doc["radio"] = _build(RadioConfig, doc["radio"], path)
-    if "train" in doc:
-        if "seed" in doc["train"]:
+    if isinstance(doc, dict):  # _build refuses anything else
+        if isinstance(doc.get("train"), dict) and "seed" in doc["train"]:
             raise UsageError(f"{path}: train.seed is not read; set the top-level \"seed\"")
-        doc["train"] = _build(TrainConfig, doc["train"], path)
-    cfg = _build(ExperimentConfig, doc, path)
-    if not cfg.n_cells_list or not cfg.n_ues_list:
-        raise UsageError(f"{path}: n_cells_list and n_ues_list must be non-empty")
-    if cfg.n_train_deployments < 1 or cfg.n_eval_deployments < 1:
-        raise UsageError(f"{path}: deployment counts must be >= 1, got "
-                         f"train={cfg.n_train_deployments} eval={cfg.n_eval_deployments}")
-    try:
-        cfg.train.validate()
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
-    return cfg
+        sections = {"radio": RadioConfig, "train": TrainConfig}
+        doc = {k: _build(sections[k], v, path) if k in sections else v for k, v in doc.items()}
+    return _build(ExperimentConfig, doc, path)
 
 
 def load_config(path: str | None, seed: int | None) -> ExperimentConfig:
@@ -122,12 +120,7 @@ def load_config(path: str | None, seed: int | None) -> ExperimentConfig:
             raise UsageError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise UsageError(f"{path}: config must be a JSON object")
-        try:
-            cfg = config_from_dict(doc, path)
-        except TypeError as exc:
-            raise UsageError(f"{path}: {exc}") from exc
+        cfg = config_from_dict(doc, path)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     return cfg

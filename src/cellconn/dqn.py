@@ -56,7 +56,7 @@ class TrainConfig:
     edge_threshold_db: float = DEFAULT_EDGE_THRESHOLD_DB
     grad_clip_norm: float | None = 10.0  # None disables clipping
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.reward_kind not in REWARD_KINDS:
             raise ValueError(f"reward_kind must be one of {REWARD_KINDS}, "
                              f"got {self.reward_kind!r}")
@@ -275,7 +275,6 @@ def train(cfg: TrainConfig, deployments: Iterable[Deployment]) -> tuple[GnnParam
     each; the experience buffer carries over between them.  Reproducible:
     the same config and deployments give bit-identical parameters and log.
     """
-    cfg.validate()
     deployments = list(deployments)
     if not deployments:
         raise ValueError("no deployments to train on")

@@ -39,6 +39,8 @@ class GnnParams:
     """
 
     def __init__(self, n_layers: int, width: int, vec: np.ndarray | None = None):
+        if n_layers < 1 or width < 1:
+            raise ValueError(f"need layers >= 1 and width >= 1, got {n_layers}/{width}")
         rounds = [(2 if layer == 0 else width, width) for layer in range(n_layers)]
         shapes = [*rounds, *rounds, *rounds, (width, width), (width,)]
         bounds = np.cumsum([0, *(math.prod(s) for s in shapes)])
@@ -55,13 +57,10 @@ def init_params(seed: int, n_layers: int = 2, width: int = 8,
     """Gaussian-initialized weights, deterministic in the seed.
 
     Raises:
-        ValueError: non-positive layer count, width or init_std (a zero
-            standard deviation would freeze the score at 0 forever).
+        ValueError: non-positive init_std (a zero standard deviation would
+            freeze the score at 0 forever), or a layer count or width below 1
+            (checked by ``GnnParams``).
     """
-    if n_layers < 1:
-        raise ValueError(f"n_layers must be >= 1, got {n_layers}")
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
     if init_std <= 0:
         raise ValueError(f"init_std must be > 0, got {init_std}")
     rng = np.random.default_rng(seed)
@@ -193,8 +192,6 @@ def load_model(path: str) -> GnnParams:
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}")
     n_layers, width = int(doc["layers"]), int(doc["width"])
-    if n_layers < 1 or width < 1:
-        raise ValueError(f"model file needs layers >= 1 and width >= 1, got {n_layers}/{width}")
     rounds = [[np.asarray(w, dtype=float) for w in doc[k]] for k in ("w1", "w2", "w3")]
     w4 = np.asarray(doc["w4"], dtype=float)
     w5 = np.asarray(doc["w5"], dtype=float)

@@ -303,18 +303,18 @@ def test_config_defaults_match_reference_setup():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(reward_kind="profit").validate()
+        TrainConfig(reward_kind="profit")
     with pytest.raises(ValueError):
-        TrainConfig(buffer_size=2, batch_size=4).validate()
+        TrainConfig(buffer_size=2, batch_size=4)
     with pytest.raises(ValueError):
-        TrainConfig(epsilon=1.5).validate()
+        TrainConfig(epsilon=1.5)
     for bad in ({"gnn_layers": 0}, {"gnn_width": 0}, {"init_std": 0.0},
                 {"grad_clip_norm": 0.0}, {"grad_clip_norm": -1.0}):
         with pytest.raises(ValueError):
-            TrainConfig(**bad).validate()
-    TrainConfig(epsilon=0.0).validate()  # boundary values are fine
-    TrainConfig(epsilon=1.0).validate()
-    TrainConfig(grad_clip_norm=None).validate()  # None disables clipping
+            TrainConfig(**bad)
+    TrainConfig(epsilon=0.0)  # boundary values are fine
+    TrainConfig(epsilon=1.0)
+    TrainConfig(grad_clip_norm=None)  # None disables clipping
 
 
 # ----------------------------------------------------------------- episodes --
