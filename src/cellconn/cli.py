@@ -59,6 +59,10 @@ class ExperimentConfig:
         if self.n_train_deployments < 1 or self.n_eval_deployments < 1:
             raise UsageError(f"deployment counts must be >= 1, got "
                              f"train={self.n_train_deployments} eval={self.n_eval_deployments}")
+        if not (0 < self.hex_diameter_m < math.inf and 0 <= self.min_cell_sep_m < math.inf
+                and self.seed >= 0):  # numpy takes only non-negative seeds
+            raise UsageError(f"need finite hex_diameter_m > 0 and min_cell_sep_m >= 0, seed >= 0; "
+                             f"got {self.hex_diameter_m}/{self.min_cell_sep_m}/{self.seed}")
 
     def base_point(self) -> tuple[int, int]:
         """Training happens at the first size of the sweep."""

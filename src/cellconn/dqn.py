@@ -65,6 +65,10 @@ class TrainConfig:
                              f"{self.buffer_size}/{self.batch_size}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
+        if not (self.episodes_per_deployment >= 1 and 0.0 <= self.alpha < math.inf
+                and 0.0 <= self.gamma <= 1.0 and math.isfinite(self.lambda_fair)):
+            raise ValueError(f"need episodes_per_deployment >= 1, finite alpha >= 0, gamma in "
+                             f"[0, 1] and finite lambda_fair, got {self}")
         if self.gnn_layers < 1 or self.gnn_width < 1 or not self.init_std > 0:
             raise ValueError(f"need gnn_layers >= 1, gnn_width >= 1 and init_std > 0, got "
                              f"{self.gnn_layers}/{self.gnn_width}/{self.init_std}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, astuple
 
 import numpy as np
 
@@ -39,6 +39,10 @@ class RadioConfig:
     def __post_init__(self) -> None:
         if self.report_set_size < 1:  # an empty report leaves a UE no legal action
             raise ValueError(f"report_set_size must be >= 1, got {self.report_set_size}")
+        if not (all(map(math.isfinite, astuple(self))) and self.carrier_ghz > 0
+                and self.bandwidth_mhz > 0 and self.shadow_sigma_db >= 0):
+            raise ValueError(f"radio values must be finite, with carrier_ghz > 0, bandwidth_mhz "
+                             f"> 0 and shadow_sigma_db >= 0, got {self}")
 
     def noise_dbm(self) -> float:
         """Thermal noise power over the full band: -174 dBm/Hz + 10log10(B) + NF."""

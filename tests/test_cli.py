@@ -141,6 +141,16 @@ def test_config_rejects_wrong_types_and_invalid_train_values(tmp_path, capsys):
     {"train": {"grad_clip_norm": 0.0}},
     {"train": []},                         # a section must be an object
     {"radio": []},
+    {"radio": {"bandwidth_mhz": -1}},      # log10 of a negative noise bandwidth
+    {"radio": {"shadow_sigma_db": -1}},    # a negative normal scale
+    {"hex_diameter_m": -5},
+    {"min_cell_sep_m": -1.0},
+    {"train": {"alpha": float("nan")}},    # diverges on the first update
+    {"train": {"gamma": float("nan")}},
+    {"train": {"gamma": 1.5}},
+    {"train": {"lambda_fair": float("inf")}},
+    {"train": {"episodes_per_deployment": 0}},  # would save the untrained weights
+    {"seed": -1},                          # numpy seeds only with non-negative integers
 ], ids=repr)
 def test_config_rejects_values_the_code_cannot_use(tmp_path, doc):
     path = write_config(tmp_path, micro_doc(**doc))
@@ -320,6 +330,10 @@ def test_main_usage_errors_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["bogus-command"]) == 1
     assert main(["eval", "--out", str(tmp_path)]) == 1  # --model is required
+    for command in ("train", "generate"):  # a negative seed is refused before any work
+        assert main([command, "--seed", "-3", "--out", str(tmp_path / "run")]) == 1
+        assert "seed >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_main_runtime_errors_exit_2(tmp_path, capsys):

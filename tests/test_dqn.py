@@ -309,11 +309,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epsilon=1.5)
     for bad in ({"gnn_layers": 0}, {"gnn_width": 0}, {"init_std": 0.0},
-                {"grad_clip_norm": 0.0}, {"grad_clip_norm": -1.0}):
+                {"grad_clip_norm": 0.0}, {"grad_clip_norm": -1.0},
+                {"episodes_per_deployment": 0}, {"alpha": -0.1}, {"alpha": math.inf},
+                {"alpha": math.nan}, {"gamma": 1.5}, {"gamma": math.nan},
+                {"lambda_fair": math.nan}):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     TrainConfig(epsilon=0.0)  # boundary values are fine
     TrainConfig(epsilon=1.0)
+    TrainConfig(alpha=0.0, gamma=0.0)
     TrainConfig(grad_clip_norm=None)  # None disables clipping
 
 

@@ -57,6 +57,9 @@ def test_init_rejects_degenerate_std():
         init_params(0, 2, 8, 0.0)
     with pytest.raises(ValueError):
         init_params(0, 0, 8, 0.1)
+    for n_layers, width in ((0, 8), (2, 0)):  # GnnParams itself refuses an empty network
+        with pytest.raises(ValueError, match="layers >= 1"):
+            GnnParams(n_layers, width)
 
 
 def test_zero_params_score_zero(rng):

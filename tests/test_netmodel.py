@@ -224,6 +224,21 @@ def test_report_set_size_below_one_rejected(tmp_path):
         load_deployment(str(path))
 
 
+def test_radio_values_the_model_cannot_use_rejected(tmp_path):
+    for key, bad in [("bandwidth_mhz", -1), ("carrier_ghz", 0), ("shadow_sigma_db", -0.5),
+                     ("tx_power_dbm", math.nan), ("noise_figure_db", math.inf)]:
+        with pytest.raises(ValueError, match=f"{key}={bad}"):
+            RadioConfig(**{key: bad})
+    RadioConfig(shadow_sigma_db=0.0)  # no shadowing is fine
+    path = tmp_path / "dep.json"
+    save_deployment(generate_deployment(42, 3, 4), str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["radio"]["bandwidth_mhz"] = -1  # log10 of a negative bandwidth in noise_dbm
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="bandwidth_mhz=-1"):
+        load_deployment(str(path))
+
+
 def test_stored_radio_arrays_match_closed_form_and_are_read_only():
     dep = generate_deployment(6, 5, 11)
     pl = pathloss_db(distance_3d_m(dep), dep.radio.carrier_ghz)
