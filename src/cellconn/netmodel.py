@@ -253,8 +253,8 @@ def save_deployment(dep: Deployment, path: str) -> None:
 
 
 def load_deployment(path: str) -> Deployment:
-    """Read a file written by ``save_deployment``; raises ValueError unless
-    cells, ues and shadow_db are finite (n, 2), (m, 2) and (n, m) arrays."""
+    """Read a file written by ``save_deployment``; raises ValueError unless ``RadioConfig``
+    takes its radio and cells, ues, shadow_db are finite (n, 2), (m, 2), (n, m) arrays."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     radio = RadioConfig(**doc["radio"])
