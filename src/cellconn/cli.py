@@ -217,7 +217,7 @@ def evaluate_point(params, cfg: ExperimentConfig, point_idx: int,
         dep = eval_deployment(cfg, point_idx, point, i)
         cap = dep.cap
         policy_g = greedy_rollout(params, deployment_state(dep, tc))
-        base_g = max_rsrp_graph(dep, tc.d_max_m)
+        base_g = max_rsrp_graph(dep)
         row = {"row_type": "deployment", "n_cells": point.n_cells,
                "n_ues": point.n_ues, "density_cells_km2": point.density_cells_km2,
                "deployment_seed": dep.seed, "stat": ""}

@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from cellconn.graph import (DEFAULT_D_MAX_M, DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph,
-                            connect, initial_graph, input_features)
+from cellconn.graph import (DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph, connect,
+                            initial_graph, input_features)
 from cellconn.gnn import GnnParams, backward, forward, init_params, score_action
 from cellconn.metrics import (coverage, jain_index, reward_fair,
                               reward_throughput, sum_throughput)
@@ -52,7 +52,6 @@ class TrainConfig:
     gnn_layers: int = 2
     gnn_width: int = 8
     init_std: float = 0.01
-    d_max_m: float = DEFAULT_D_MAX_M
     edge_threshold_db: float = DEFAULT_EDGE_THRESHOLD_DB
     grad_clip_norm: float | None = 10.0  # None disables clipping
 
@@ -265,7 +264,7 @@ def run_episode(p: GnnParams, cfg: TrainConfig, state: EpisodeState,
 def deployment_state(dep: Deployment, cfg: TrainConfig) -> EpisodeState:
     """Initial episode state for a deployment under the given config; each
     reshuffled UE's candidates are the cells of its measurement report."""
-    g0, reshuffled = initial_graph(dep, cfg.edge_threshold_db, cfg.d_max_m)
+    g0, reshuffled = initial_graph(dep, cfg.edge_threshold_db)
     return EpisodeState(graph=g0, unassigned=reshuffled,
                         candidates={j: tuple(dep.report_cells[j].tolist())
                                     for j in reshuffled},

@@ -1,7 +1,7 @@
 """Connection graph between cells and user terminals, plus GNN input features.
 
 The graph has two node sets: cells (linked to each other when closer than
-``d_max_m``) and UEs (linked to at most one serving cell).  Assignments are
+250 m, ``DEFAULT_D_MAX_M``) and UEs (linked to at most one serving cell).  Assignments are
 value-semantic: ``connect`` returns a new graph and never mutates its input.
 """
 
@@ -146,8 +146,8 @@ def classify_ues(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_D
             for edge in _edge_mask(dep, threshold_db)]
 
 
-def initial_graph(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_DB,
-                  d_max_m: float = DEFAULT_D_MAX_M) -> tuple[ConnectionGraph, tuple[int, ...]]:
+def initial_graph(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_DB
+                  ) -> tuple[ConnectionGraph, tuple[int, ...]]:
     """Starting state of an episode.
 
     Cell-center UEs attach to their strongest cell (ties to the lower cell
@@ -156,8 +156,7 @@ def initial_graph(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_
     """
     edge = _edge_mask(dep, threshold_db)
     assign = np.where(edge, UNASSIGNED, np.argmax(dep.rsrp_dbm, axis=0)).astype(np.int64)
-    g = ConnectionGraph(cell_adj=build_cell_graph(dep, d_max_m), assign=assign,
-                        d_max_m=d_max_m)
+    g = ConnectionGraph(cell_adj=build_cell_graph(dep), assign=assign)
     return g, tuple(np.flatnonzero(edge).tolist())
 
 

@@ -21,8 +21,7 @@ import numpy as np
 
 from cellconn.dqn import EpisodeState, greedy_rollout
 from cellconn.gnn import GnnParams, load_model
-from cellconn.graph import (DEFAULT_D_MAX_M, UNASSIGNED, ConnectionGraph,
-                            build_cell_graph, initial_graph)
+from cellconn.graph import UNASSIGNED, ConnectionGraph, build_cell_graph, initial_graph
 from cellconn.netmodel import Deployment, MeasurementReport, load_deployment
 
 __all__ = [
@@ -69,7 +68,7 @@ def extract_subgraph(g: ConnectionGraph, report: MeasurementReport, hops: int) -
     to_local = np.full(g.n_cells + 1, UNASSIGNED, dtype=np.int64)
     to_local[kept_cells] = np.arange(len(kept_cells))
     sub = ConnectionGraph(cell_adj=g.cell_adj[np.ix_(kept_cells, kept_cells)],
-                          assign=to_local[g.assign[kept_ues]], d_max_m=g.d_max_m)
+                          assign=to_local[g.assign[kept_ues]])
     return SubGraph(kept_cells=tuple(kept_cells.tolist()),
                     kept_ues=tuple(kept_ues.tolist()), graph=sub)
 
@@ -106,11 +105,10 @@ def handle_event(p: GnnParams, dep: Deployment, g: ConnectionGraph,
     return [(sub.kept_ues[i], kept[final.assign[i]]) for i in reshuffled]
 
 
-def max_rsrp_graph(dep: Deployment, d_max_m: float = DEFAULT_D_MAX_M) -> ConnectionGraph:
+def max_rsrp_graph(dep: Deployment) -> ConnectionGraph:
     """Full assignment of a deployment under the max-RSRP baseline."""
-    return ConnectionGraph(cell_adj=build_cell_graph(dep, d_max_m),
-                           assign=np.argmax(dep.rsrp_dbm, axis=0).astype(np.int64),
-                           d_max_m=d_max_m)
+    return ConnectionGraph(cell_adj=build_cell_graph(dep),
+                           assign=np.argmax(dep.rsrp_dbm, axis=0).astype(np.int64))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

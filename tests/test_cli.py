@@ -88,6 +88,11 @@ def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(UsageError, match="unknown config keys"):
         load_config(path, None)
     assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
+    # cell adjacency is fixed at graph.DEFAULT_D_MAX_M
+    path = write_config(tmp_path, micro_doc(train={"d_max_m": 250.0}))
+    with pytest.raises(UsageError, match="unknown config keys"):
+        load_config(path, None)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
 
 
 def test_config_rejects_bad_values(tmp_path):
@@ -284,7 +289,7 @@ def test_eval_baseline_columns_match_direct_metrics(tmp_path):
             row = next(r for r in dep_rows
                        if int(r["deployment_seed"]) == dep.seed)
             cap = capacity_matrix(dep)
-            g = max_rsrp_graph(dep, cfg.train.d_max_m)
+            g = max_rsrp_graph(dep)
             assert float(row["baseline_throughput"]) == sum_throughput(g, cap)
             assert float(row["baseline_coverage"]) == coverage(g, cap)
             assert float(row["baseline_jain"]) == jain_index(g)

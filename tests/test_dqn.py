@@ -12,7 +12,7 @@ from cellconn.dqn import (DivergenceError, EpisodeState, ReplayBuffer,
                           run_episode, select_action, sgd_step, td_target,
                           train)
 from cellconn.gnn import GnnParams, init_params, score_action
-from cellconn.graph import connect, initial_graph
+from cellconn.graph import DEFAULT_D_MAX_M, connect, initial_graph
 from cellconn.metrics import sum_throughput
 from cellconn.netmodel import generate_deployment
 
@@ -297,7 +297,7 @@ def test_config_defaults_match_reference_setup():
     assert cfg.gnn_layers == 2
     assert cfg.gnn_width == 8
     assert cfg.edge_threshold_db == 3.0
-    assert cfg.d_max_m == 250.0
+    assert DEFAULT_D_MAX_M == 250.0 and not hasattr(cfg, "d_max_m")
     assert cfg.grad_clip_norm == 10.0
 
 

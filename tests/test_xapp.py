@@ -155,7 +155,7 @@ def test_subgraph_rejects_bad_events():
 
 def test_handle_event_zero_params_completes_assignment():
     dep = generate_deployment(11, 2, 4)
-    g0, reshuffled = initial_graph(dep, 3.0, 250.0)
+    g0, reshuffled = initial_graph(dep, 3.0)
     ue = reshuffled[0] if reshuffled else 0
     ev = measurement_report(dep, ue)
     pairs = handle_event(zeros_params(), dep, g0, ev, frozenset(reshuffled))
@@ -174,7 +174,7 @@ def test_handle_event_single_candidate_forced():
     rsrp = np.array([[-60.0, -100.0],
                      [-80.0, -70.0]])
     dep = deployment_with_rsrp(rsrp)
-    g0, reshuffled = initial_graph(dep, 3.0, 250.0)
+    g0, reshuffled = initial_graph(dep, 3.0)
     assert reshuffled == ()  # both UEs are comfortably single-cell dominant
     ev = report(1, (1,))
     assert handle_event(zeros_params(), dep, g0, ev, frozenset()) == [(1, 1)]
@@ -184,7 +184,7 @@ def test_handle_event_leaves_settled_ues_alone():
     p = init_params(4, 2, 8, 0.3)
     for seed in range(6):
         dep = generate_deployment(30 + seed, 2, 4)
-        g0, reshuffled = initial_graph(dep, 3.0, 250.0)
+        g0, reshuffled = initial_graph(dep, 3.0)
         labels = classify_ues(dep, 3.0)
         ue = reshuffled[0] if reshuffled else 0
         pairs = handle_event(p, dep, g0, measurement_report(dep, ue), frozenset(reshuffled))
@@ -222,7 +222,7 @@ def test_handle_event_trained_model_beats_or_ties_baseline():
     for i in range(n_events):
         dep = generate_deployment(90_000 + i, 2, 4)
         cap = capacity_matrix(dep)
-        g0, reshuffled = initial_graph(dep, 3.0, 250.0)
+        g0, reshuffled = initial_graph(dep, 3.0)
         ue = reshuffled[0] if reshuffled else 0
         pairs = handle_event(p, dep, g0, measurement_report(dep, ue), frozenset(reshuffled))
         assign = g0.assign.copy()
