@@ -65,9 +65,10 @@ class TrainConfig:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if not (self.episodes_per_deployment >= 1 and 0.0 <= self.alpha < math.inf
-                and 0.0 <= self.gamma <= 1.0 and math.isfinite(self.lambda_fair)):
+                and 0.0 <= self.gamma <= 1.0 and math.isfinite(self.lambda_fair)
+                and not math.isnan(self.edge_threshold_db)):
             raise ValueError(f"need episodes_per_deployment >= 1, finite alpha >= 0, gamma in "
-                             f"[0, 1] and finite lambda_fair, got {self}")
+                             f"[0, 1], finite lambda_fair, non-NaN edge_threshold_db; got {self}")
         if self.gnn_layers < 1 or self.gnn_width < 1 or not self.init_std > 0:
             raise ValueError(f"need gnn_layers >= 1, gnn_width >= 1 and init_std > 0, got "
                              f"{self.gnn_layers}/{self.gnn_width}/{self.init_std}")
@@ -299,7 +300,7 @@ def train(cfg: TrainConfig, deployments: Iterable[Deployment]) -> tuple[GnnParam
                 u_jain=jain_index(final),
                 epsilon_used=cfg.epsilon,
                 loss_mean=float(np.mean(losses)) if losses else float("nan")))
-    return p, log
+    return GnnParams(p.n_layers, p.width, p.vec, cfg.edge_threshold_db), log
 
 
 def greedy_rollout(p: GnnParams, state: EpisodeState) -> ConnectionGraph:

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cellconn.graph import ConnectionGraph, NodeFeatures, connect, input_features, ue_adjacency
+from cellconn.graph import (DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph, NodeFeatures, connect,
+                            input_features, ue_adjacency)
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2  # version 1 files carry no threshold and load with the default
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -36,15 +37,17 @@ class GnnParams:
     w4 is (width, width), w5 a width-vector; both belong to the readout head.
     Each is a view into ``vec``, laid out in the order of ``arrays``: w1, w2
     and w3 round by round, then w4, w5.  ``vec`` defaults to zeros.
+    ``edge_threshold_db`` is the cell-edge threshold the weights were trained with.
     """
 
-    def __init__(self, n_layers: int, width: int, vec: np.ndarray | None = None):
+    def __init__(self, n_layers: int, width: int, vec: np.ndarray | None = None,
+                 edge_threshold_db: float = DEFAULT_EDGE_THRESHOLD_DB):
         if n_layers < 1 or width < 1:
             raise ValueError(f"need layers >= 1 and width >= 1, got {n_layers}/{width}")
         rounds = [(2 if layer == 0 else width, width) for layer in range(n_layers)]
         shapes = [*rounds, *rounds, *rounds, (width, width), (width,)]
         bounds = np.cumsum([0, *(math.prod(s) for s in shapes)])
-        self.n_layers, self.width = n_layers, width
+        self.n_layers, self.width, self.edge_threshold_db = n_layers, width, edge_threshold_db
         self.vec = np.zeros(bounds[-1]) if vec is None else vec
         self.arrays = [self.vec[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)]
         n = n_layers
@@ -163,11 +166,12 @@ def score_action(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
 
 
 def save_model(p: GnnParams, path: str) -> None:
-    """Serialize weights as JSON (row-major lists; doubles round-trip exactly)."""
+    """Serialize weights and threshold as JSON (row-major lists; doubles round-trip exactly)."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "layers": p.n_layers,
         "width": p.width,
+        "edge_threshold_db": p.edge_threshold_db,
         "w1": [w.tolist() for w in p.w1],
         "w2": [w.tolist() for w in p.w2],
         "w3": [w.tolist() for w in p.w3],
@@ -180,16 +184,16 @@ def save_model(p: GnnParams, path: str) -> None:
 
 
 def load_model(path: str) -> GnnParams:
-    """Load a model file written by ``save_model``.
+    """Load a model file written by ``save_model``, of format 1 or 2.
 
     Raises:
         ValueError: unknown format version, layers or width below 1,
-            inconsistent shapes or non-finite weights.
+            inconsistent shapes, non-finite weights or a NaN threshold.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format_version {version!r}")
     n_layers, width = int(doc["layers"]), int(doc["width"])
     rounds = [[np.asarray(w, dtype=float) for w in doc[k]] for k in ("w1", "w2", "w3")]
@@ -203,6 +207,7 @@ def load_model(path: str) -> GnnParams:
         raise ValueError("model file readout shapes do not match declared width")
     flat = [m.ravel() for mats in rounds for m in mats]
     vec = np.concatenate([*flat, w4.ravel(), w5])
-    if not np.isfinite(vec).all():
-        raise ValueError("model file weights must be finite")
-    return GnnParams(n_layers, width, vec)
+    threshold = DEFAULT_EDGE_THRESHOLD_DB if version == 1 else float(doc["edge_threshold_db"])
+    if not np.isfinite(vec).all() or math.isnan(threshold):
+        raise ValueError("model file weights must be finite and its threshold not NaN")
+    return GnnParams(n_layers, width, vec, threshold)

@@ -167,12 +167,12 @@ def serve_stream(p: GnnParams, dep: Deployment, rfile, wfile) -> int:
     assignments or an ``{"error": ...}`` object.  A text stream with an
     underlying byte buffer is read as bytes and each line decoded as UTF-8
     on its own, so an undecodable line gets an error reply too.  The
-    connection graph starts from the deployment's initial state (3 dB
-    cell-edge threshold, 250 m cell adjacency) and commits each answer; its
-    cell-edge UEs are the ones every event may reshuffle.  Returns the
-    number of lines processed.
+    connection graph starts from the deployment's initial state under the
+    model's cell-edge threshold and commits each answer; its cell-edge UEs
+    are the ones every event may reshuffle.  Returns the number of lines
+    processed.
     """
-    g, edge = initial_graph(dep)
+    g, edge = initial_graph(dep, p.edge_threshold_db)
     edge_ues = frozenset(edge)
     handled = 0
     for line in getattr(rfile, "buffer", rfile):

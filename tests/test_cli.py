@@ -155,6 +155,7 @@ def test_config_rejects_wrong_types_and_invalid_train_values(tmp_path, capsys):
     {"train": {"gamma": 1.5}},
     {"train": {"lambda_fair": float("inf")}},
     {"train": {"episodes_per_deployment": 0}},  # would save the untrained weights
+    {"train": {"edge_threshold_db": float("nan")}},  # no model file could carry it
     {"seed": -1},                          # numpy seeds only with non-negative integers
 ], ids=repr)
 def test_config_rejects_values_the_code_cannot_use(tmp_path, doc):

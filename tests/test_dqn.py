@@ -312,7 +312,7 @@ def test_config_validation():
                 {"grad_clip_norm": 0.0}, {"grad_clip_norm": -1.0},
                 {"episodes_per_deployment": 0}, {"alpha": -0.1}, {"alpha": math.inf},
                 {"alpha": math.nan}, {"gamma": 1.5}, {"gamma": math.nan},
-                {"lambda_fair": math.nan}):
+                {"lambda_fair": math.nan}, {"edge_threshold_db": math.nan}):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     TrainConfig(epsilon=0.0)  # boundary values are fine
@@ -392,6 +392,13 @@ def test_train_alpha_zero_keeps_initial_params():
     for a, b in zip(p.arrays, p0.arrays):
         assert np.array_equal(a, b)
     assert all(math.isfinite(r.ep_return) for r in log.rows)
+
+
+def test_train_stamps_its_edge_threshold_on_the_params():
+    deps = [generate_deployment(200 + i, 2, 4) for i in range(2)]
+    for threshold in (0.0, 3.0, math.inf):
+        p, _ = train(micro_train_cfg(edge_threshold_db=threshold), deps)
+        assert p.edge_threshold_db == threshold
 
 
 def test_train_no_deployments_raises():

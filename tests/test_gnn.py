@@ -1,5 +1,8 @@
 """Q-network forward/backward, pinned to hand-traced and finite-difference oracles."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -236,8 +239,39 @@ def test_model_header_self_describes(tmp_path):
     path = tmp_path / "model.json"
     save_model(p, str(path))
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert doc["layers"] == 2 and doc["width"] == 8
+    assert doc["edge_threshold_db"] == 3.0
+
+
+def test_model_threshold_round_trips(tmp_path, rng):
+    import json
+    p = random_params(rng)
+    path = tmp_path / "model.json"
+    for threshold in (0.0, math.inf):
+        save_model(GnnParams(p.n_layers, p.width, p.vec, threshold), str(path))
+        assert json.loads(path.read_text())["edge_threshold_db"] == threshold
+        q = load_model(str(path))
+        assert q.edge_threshold_db == threshold
+        assert np.array_equal(q.vec, p.vec)
+    assert '"edge_threshold_db": Infinity' in path.read_text()
+
+
+def test_pinned_version_1_model_loads_with_the_default_threshold():
+    import json
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "model.json"
+    assert json.loads(path.read_text())["format_version"] == 1
+    assert load_model(str(path)).edge_threshold_db == 3.0
+
+
+def test_model_nan_threshold_errors(tmp_path):
+    import json
+    path = tmp_path / "model.json"
+    save_model(init_params(0, 2, 8, 0.01), str(path))
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(doc, edge_threshold_db=math.nan)))
+    with pytest.raises(ValueError, match="NaN"):
+        load_model(str(path))
 
 
 def test_model_truncated_file_errors(tmp_path, rng):

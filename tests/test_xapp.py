@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellconn.netmodel as netmodel
-from cellconn.dqn import TrainConfig, train
-from cellconn.gnn import GnnParams, init_params, save_model
+from cellconn.cli import cmd_train, config_from_dict
+from cellconn.dqn import TrainConfig, deployment_state, train
+from cellconn.gnn import GnnParams, init_params, load_model, save_model
 from cellconn.graph import UNASSIGNED, UeClass, capacity_matrix, classify_ues, initial_graph
 from cellconn.metrics import sum_throughput
 from cellconn.netmodel import (MeasurementReport, generate_deployment,
@@ -379,6 +380,23 @@ def test_serve_stream_never_recomputes_distances(monkeypatch):
     replies = run_lines(lines, dep=dep, p=init_params(8, 2, 8, 0.3))
     assert all("assignments" in r for r in replies)
     assert calls == []
+
+
+def test_serve_stream_uses_the_threshold_the_model_was_trained_with(tmp_path):
+    # 0 dB leaves no cell-edge UE, so an event may reshuffle only its own UE
+    cfg = config_from_dict({
+        "n_cells_list": [2], "n_ues_list": [4], "n_train_deployments": 5,
+        "train": {"reward_kind": "throughput", "epsilon": 1.0, "init_std": 0.3,
+                  "edge_threshold_db": 0.0}})
+    model_path, _ = cmd_train(cfg, str(tmp_path))
+    dep = generate_deployment(5, 6, 30)
+    assert deployment_state(dep, cfg.train_config()).unassigned == ()
+    lines = [json.dumps({"type": "handover", "ue": ue,
+                         "rsrp_dbm": {str(c): v for c, v in
+                                      zip(r.cells, r.rsrp_dbm)}})
+             for ue in range(dep.n_ues) for r in [measurement_report(dep, ue)]]
+    replies = run_lines(lines, dep=dep, p=load_model(model_path))
+    assert [[a["ue"] for a in r["assignments"]] for r in replies] == [[u] for u in range(30)]
 
 
 def test_serve_rejects_malformed_endpoint(tmp_path):
