@@ -31,12 +31,12 @@ from cellconn.netmodel import generate_deployment, measurement_report
 from cellconn.xapp import serve_stream
 
 CRITERION_7_DIGESTS = {
-    "model.json": "a644f210846176abb58bb7d37066040a71a1932edd5bd7379d677334cbb4ab1b",
+    "model.json": "e903ecf6329ee119331a49ae738e94269487c7aa891582403d1e7aa12221026b",
     "trainlog.csv": "def4f1ef77bf0db415f39c1205d82b5302027db60aaeeb407f9cec75afc46dd5",
     "gainreport.csv": "1b1d468e0fc45c7f3b0a2b0bbb9a1aea998b74272140d66c9332407f22b5f250",
 }
 CLIPPED_DIGESTS = {
-    "model.json": "8ce901d5a4380383382aa3fcdc5ac037ca7319f74c8cf0bcf95da24470a45e62",
+    "model.json": "f3fe032f1ead03461c6af58867b912cc62fe1498205009fa7e6bde68f4ce4b62",
     "trainlog.csv": "4e7551c062ce2953336d4e023ca33b469b801306e6772df92ea0d5d20e2df15a",
     "gainreport.csv": "9b40a606a28dcbf1a9698aa3fe39eaaa1eacfdbcc7bf4bf0d1d1134010f0beaa",
 }
