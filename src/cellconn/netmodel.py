@@ -159,13 +159,13 @@ def generate_deployment(seed: int, n_cells: int, n_ues: int,
     deployment bit for bit.
 
     Raises:
-        ValueError: non-positive counts or diameter.
+        ValueError: non-positive counts, or a diameter not positive and finite.
         PlacementError: separation constraint infeasible.
     """
     if n_cells < 1 or n_ues < 1:
         raise ValueError(f"need at least one cell and one UE, got {n_cells}/{n_ues}")
-    if hex_diameter_m <= 0:
-        raise ValueError(f"hex_diameter_m must be positive, got {hex_diameter_m}")
+    if not 0 < hex_diameter_m < math.inf:
+        raise ValueError(f"hex_diameter_m must be positive and finite, got {hex_diameter_m}")
     radio = radio or RadioConfig()
     rng = np.random.default_rng(seed)
 

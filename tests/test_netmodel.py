@@ -119,6 +119,9 @@ def test_bad_counts_rejected():
         generate_deployment(0, 3, 0)
     with pytest.raises(ValueError):
         generate_deployment(0, 3, 5, hex_diameter_m=-1.0)
+    for diameter in (float("nan"), float("inf")):  # numpy's uniform would overflow
+        with pytest.raises(ValueError, match="hex_diameter_m"):
+            generate_deployment(1, 3, 4, hex_diameter_m=diameter)
 
 
 def test_minimal_instance():
