@@ -24,6 +24,8 @@ from cellconn.gnn import GnnParams, load_model
 from cellconn.graph import UNASSIGNED, ConnectionGraph, build_cell_graph, initial_graph
 from cellconn.netmodel import Deployment, MeasurementReport, load_deployment
 
+CONN_READ_TIMEOUT_S = 10.0  # a TCP client silent this long loses its turn to the next one
+
 __all__ = [
     "SubGraph", "extract_subgraph", "handle_event",
     "max_rsrp_graph", "serve", "serve_stream",
@@ -202,7 +204,7 @@ def serve_stream(p: GnnParams, dep: Deployment, rfile, wfile) -> int:
 def serve(model_path: str, deployment_path: str, endpoint: str = "-") -> None:
     """Run the handover service on stdin/stdout ("-") or a TCP endpoint
     ("host:port"); TCP connections are served one at a time, and a client
-    that resets its connection ends only that connection."""
+    that resets its connection or idles ``CONN_READ_TIMEOUT_S`` ends only it."""
     p = load_model(model_path)
     dep = load_deployment(deployment_path)
     if endpoint == "-":
@@ -214,9 +216,10 @@ def serve(model_path: str, deployment_path: str, endpoint: str = "-") -> None:
     with socket.create_server((host, int(port))) as srv:
         while True:
             conn, _ = srv.accept()
+            conn.settimeout(CONN_READ_TIMEOUT_S)
             try:
                 with conn, conn.makefile("r", encoding="utf-8") as rf, \
                         conn.makefile("w", encoding="utf-8") as wf:
                     serve_stream(p, dep, rf, wf)
-            except ConnectionError:  # reset or broken pipe: only this client is gone
+            except (ConnectionError, TimeoutError):  # reset, broken pipe or idle: client gone
                 pass

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellconn.netmodel as netmodel
+import cellconn.xapp as xapp
 from cellconn.cli import cmd_train, config_from_dict
 from cellconn.dqn import TrainConfig, deployment_state, train
 from cellconn.gnn import GnnParams, init_params, load_model, save_model
@@ -435,3 +436,28 @@ def test_serve_tcp_outlives_a_client_reset(tmp_path):
     with socket.create_connection(("127.0.0.1", port), timeout=10) as second:
         second.sendall(req)
         assert b"assignments" in second.makefile("rb").readline()
+
+
+def test_serve_tcp_outlives_an_idle_client(tmp_path, monkeypatch):
+    monkeypatch.setattr(xapp, "CONN_READ_TIMEOUT_S", 0.5)
+    model, dep = str(tmp_path / "model.json"), str(tmp_path / "dep.json")
+    save_model(init_params(8, 2, 8, 0.3), model)
+    save_deployment(generate_deployment(41, 2, 4), dep)
+    with socket.socket() as probe:  # a port that is free now
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    threading.Thread(target=serve, args=(model, dep, f"127.0.0.1:{port}"),
+                     daemon=True).start()
+    for _ in range(200):  # wait until the service listens
+        try:
+            idle = socket.create_connection(("127.0.0.1", port), timeout=10)
+            break
+        except ConnectionRefusedError:
+            time.sleep(0.05)
+    else:
+        pytest.fail("the service never listened")
+    with idle:  # connects first and never sends a byte
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as second:
+            second.sendall(b'{"type": "handover", "ue": 0, "rsrp_dbm": {"0": -60.0}}\n')
+            assert b"assignments" in second.makefile("rb").readline()
+        assert idle.recv(1) == b""  # the service closed the idle connection
