@@ -24,7 +24,7 @@ import numpy as np
 
 from cellconn.graph import (DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph, connect,
                             initial_graph, input_features)
-from cellconn.gnn import GnnParams, backward, forward, init_params, score_action
+from cellconn.gnn import GnnParams, backward, forward, init_params, score_actions
 from cellconn.metrics import (coverage, jain_index, reward_fair,
                               reward_throughput, sum_throughput)
 from cellconn.netmodel import Deployment
@@ -131,13 +131,7 @@ def legal_actions(s: EpisodeState) -> list[tuple[int, int]]:
 def best_action(p: GnnParams, s: EpisodeState,
                 actions: Sequence[tuple[int, int]]) -> tuple[int, int]:
     """Highest-scoring action; exact ties go to the earliest (ue, cell) pair."""
-    best = actions[0]
-    best_q = -math.inf
-    for a in actions:
-        q = score_action(p, s.graph, s.cap, a[0], a[1])
-        if q > best_q:
-            best, best_q = a, q
-    return best
+    return actions[int(np.argmax(score_actions(p, s.graph, s.cap, actions)))]
 
 
 def select_action(p: GnnParams, s: EpisodeState, epsilon: float,
@@ -156,9 +150,7 @@ def td_target(p: GnnParams, t: Transition, gamma: float) -> float:
     nxt = t.next_state
     if not nxt.unassigned:
         return t.reward
-    best = max(score_action(p, nxt.graph, nxt.cap, cell, ue)
-               for cell, ue in legal_actions(nxt))
-    return t.reward + gamma * best
+    return t.reward + gamma * float(score_actions(p, nxt.graph, nxt.cap, legal_actions(nxt)).max())
 
 
 def sgd_step(p: GnnParams, batch: Sequence[Transition], alpha: float,

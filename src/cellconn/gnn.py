@@ -165,6 +165,12 @@ def score_action(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
     return forward(p, g_next, input_features(g_next, cap)).score
 
 
+def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
+                  actions: list[tuple[int, int]]) -> np.ndarray:
+    """Q-values of the (cell, ue) actions, in their order."""
+    return np.array([score_action(p, g, cap, cell, ue) for cell, ue in actions])
+
+
 def save_model(p: GnnParams, path: str) -> None:
     """Serialize weights and threshold as JSON (row-major lists; doubles round-trip exactly)."""
     doc = {
