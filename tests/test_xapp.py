@@ -409,7 +409,12 @@ def test_serve_rejects_malformed_endpoint(tmp_path):
             serve(model, dep, endpoint)
 
 
-def test_serve_tcp_outlives_a_client_reset(tmp_path):
+TCP_REQUEST = b'{"type": "handover", "ue": 0, "rsrp_dbm": {"0": -60.0}}\n'
+
+
+def serve_tcp_in_background(tmp_path) -> tuple[int, socket.socket]:
+    """Start ``serve`` on a free local port; return the port and the first
+    client connection, made once the service listens."""
     model, dep = str(tmp_path / "model.json"), str(tmp_path / "dep.json")
     save_model(init_params(8, 2, 8, 0.3), model)
     save_deployment(generate_deployment(41, 2, 4), dep)
@@ -418,46 +423,32 @@ def test_serve_tcp_outlives_a_client_reset(tmp_path):
         port = probe.getsockname()[1]
     threading.Thread(target=serve, args=(model, dep, f"127.0.0.1:{port}"),
                      daemon=True).start()
-    req = b'{"type": "handover", "ue": 0, "rsrp_dbm": {"0": -60.0}}\n'
     for _ in range(200):  # wait until the service listens
         try:
-            first = socket.create_connection(("127.0.0.1", port), timeout=10)
-            break
+            return port, socket.create_connection(("127.0.0.1", port), timeout=10)
         except ConnectionRefusedError:
             time.sleep(0.05)
-    else:
-        pytest.fail("the service never listened")
+    pytest.fail("the service never listened")
+
+
+def test_serve_tcp_outlives_a_client_reset(tmp_path):
+    port, first = serve_tcp_in_background(tmp_path)
     with first:
-        first.sendall(req)
+        first.sendall(TCP_REQUEST)
         assert b"assignments" in first.makefile("rb").readline()
         first.sendall(b"x\n" * 5000)
         # linger 0: close() sends a TCP reset instead of a normal shutdown
         first.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
     with socket.create_connection(("127.0.0.1", port), timeout=10) as second:
-        second.sendall(req)
+        second.sendall(TCP_REQUEST)
         assert b"assignments" in second.makefile("rb").readline()
 
 
 def test_serve_tcp_outlives_an_idle_client(tmp_path, monkeypatch):
     monkeypatch.setattr(xapp, "CONN_READ_TIMEOUT_S", 0.5)
-    model, dep = str(tmp_path / "model.json"), str(tmp_path / "dep.json")
-    save_model(init_params(8, 2, 8, 0.3), model)
-    save_deployment(generate_deployment(41, 2, 4), dep)
-    with socket.socket() as probe:  # a port that is free now
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    threading.Thread(target=serve, args=(model, dep, f"127.0.0.1:{port}"),
-                     daemon=True).start()
-    for _ in range(200):  # wait until the service listens
-        try:
-            idle = socket.create_connection(("127.0.0.1", port), timeout=10)
-            break
-        except ConnectionRefusedError:
-            time.sleep(0.05)
-    else:
-        pytest.fail("the service never listened")
+    port, idle = serve_tcp_in_background(tmp_path)
     with idle:  # connects first and never sends a byte
         with socket.create_connection(("127.0.0.1", port), timeout=5) as second:
-            second.sendall(b'{"type": "handover", "ue": 0, "rsrp_dbm": {"0": -60.0}}\n')
+            second.sendall(TCP_REQUEST)
             assert b"assignments" in second.makefile("rb").readline()
         assert idle.recv(1) == b""  # the service closed the idle connection
