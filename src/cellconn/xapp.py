@@ -204,7 +204,7 @@ def serve_stream(p: GnnParams, dep: Deployment, rfile, wfile) -> int:
 def serve(model_path: str, deployment_path: str, endpoint: str = "-") -> None:
     """Run the handover service on stdin/stdout ("-") or a TCP endpoint
     ("host:port"); TCP connections are served one at a time, and a client
-    that resets its connection or idles ``CONN_READ_TIMEOUT_S`` ends only it."""
+    that resets or stays silent for ``CONN_READ_TIMEOUT_S`` loses only its own connection."""
     p = load_model(model_path)
     dep = load_deployment(deployment_path)
     if endpoint == "-":
