@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import select
 import socket
 import sys
 import time
@@ -24,7 +25,10 @@ from cellconn.gnn import GnnParams, load_model
 from cellconn.graph import UNASSIGNED, ConnectionGraph, build_cell_graph, initial_graph
 from cellconn.netmodel import Deployment, MeasurementReport, load_deployment
 
-CONN_READ_TIMEOUT_S = 10.0  # a TCP client silent this long loses its turn to the next one
+# How long a TCP client may go without a complete request line before a
+# client waiting to connect takes its turn.  A lone client is never cut off,
+# so this only bounds how long a waiting client waits behind a stalled one.
+CONN_READ_TIMEOUT_S = 10.0
 
 __all__ = [
     "SubGraph", "extract_subgraph", "handle_event",
@@ -201,10 +205,39 @@ def serve_stream(p: GnnParams, dep: Deployment, rfile, wfile) -> int:
     return handled
 
 
+def _request_lines(conn: socket.socket, srv: socket.socket):
+    """Yield a TCP client's request lines, as bytes, until it hangs up.  Once
+    it has sent no complete line for ``CONN_READ_TIMEOUT_S``, it is cut off as
+    soon as another client waits on ``srv``."""
+    buf, since = bytearray(), time.monotonic()
+    while True:
+        left = since + CONN_READ_TIMEOUT_S - time.monotonic()
+        if left > 0:
+            ready = select.select([conn], [], [], left)[0]
+        else:  # silent too long: wait for data or for the next client
+            ready = select.select([conn, srv], [], [])[0]
+        if srv in ready:
+            return
+        if not ready:
+            continue
+        chunk = conn.recv(65536)
+        if not chunk:  # hung up; an unterminated last line is still a request
+            if buf:
+                yield bytes(buf)
+            return
+        *lines, tail = chunk.split(b"\n")
+        for line in lines:
+            yield bytes(buf) + line
+            buf.clear()
+            since = time.monotonic()
+        buf += tail
+
+
 def serve(model_path: str, deployment_path: str, endpoint: str = "-") -> None:
     """Run the handover service on stdin/stdout ("-") or a TCP endpoint
-    ("host:port"); TCP connections are served one at a time, and a client
-    that resets or stays silent for ``CONN_READ_TIMEOUT_S`` loses only its own connection."""
+    ("host:port").  TCP connections are served one at a time; a client that
+    resets, or that stalls while another client waits (see
+    ``_request_lines``), loses only its own connection."""
     p = load_model(model_path)
     dep = load_deployment(deployment_path)
     if endpoint == "-":
@@ -216,10 +249,8 @@ def serve(model_path: str, deployment_path: str, endpoint: str = "-") -> None:
     with socket.create_server((host, int(port))) as srv:
         while True:
             conn, _ = srv.accept()
-            conn.settimeout(CONN_READ_TIMEOUT_S)
             try:
-                with conn, conn.makefile("r", encoding="utf-8") as rf, \
-                        conn.makefile("w", encoding="utf-8") as wf:
-                    serve_stream(p, dep, rf, wf)
-            except (ConnectionError, TimeoutError):  # reset, broken pipe or idle: client gone
+                with conn, conn.makefile("w", encoding="utf-8") as wf:
+                    serve_stream(p, dep, _request_lines(conn, srv), wf)
+            except ConnectionError:  # reset or broken pipe: only this client is gone
                 pass

@@ -1,8 +1,10 @@
 """Handover service tests: subgraph extraction, event handling, baseline, wire loop."""
 
+import contextlib
 import dataclasses
 import io
 import json
+import select
 import socket
 import struct
 import threading
@@ -452,3 +454,36 @@ def test_serve_tcp_outlives_an_idle_client(tmp_path, monkeypatch):
             second.sendall(TCP_REQUEST)
             assert b"assignments" in second.makefile("rb").readline()
         assert idle.recv(1) == b""  # the service closed the idle connection
+
+
+def test_serve_tcp_keeps_a_lone_client_that_pauses(tmp_path, monkeypatch):
+    monkeypatch.setattr(xapp, "CONN_READ_TIMEOUT_S", 0.2)
+    _, client = serve_tcp_in_background(tmp_path)
+    lines = ['{"type": "handover", "ue": 1, "rsrp_dbm": {"1": -60.0}}',
+             '{"type": "handover", "ue": 0, "rsrp_dbm": {"0": -60.0, "1": -61.0}}']
+    with client, client.makefile("rb") as rf:
+        got = []
+        for line in lines:
+            client.sendall(line.encode() + b"\n")
+            got.append(json.loads(rf.readline()))
+            time.sleep(0.5)  # silent past the timeout, with no other client waiting
+    dep = netmodel.load_deployment(str(tmp_path / "dep.json"))
+    p = load_model(str(tmp_path / "model.json"))
+    want, fresh = run_lines(lines, dep=dep, p=p), run_lines(lines[1:], dep=dep, p=p)
+    for reply in got + want + fresh:
+        del reply["latency_us"]
+    assert got == want
+    assert got[1] != fresh[0]  # the second reply saw the graph the first one committed
+
+
+def test_serve_tcp_cuts_off_a_trickling_client_when_another_waits(tmp_path, monkeypatch):
+    monkeypatch.setattr(xapp, "CONN_READ_TIMEOUT_S", 0.5)
+    port, trickler = serve_tcp_in_background(tmp_path)
+    with trickler, socket.create_connection(("127.0.0.1", port), timeout=5) as second:
+        second.sendall(TCP_REQUEST)
+        deadline = time.monotonic() + 3
+        while not select.select([second], [], [], 0.1)[0]:
+            assert time.monotonic() < deadline, "the waiting client got no reply"
+            with contextlib.suppress(OSError):  # one byte per 0.1 s, never a newline
+                trickler.sendall(b" ")
+        assert b"assignments" in second.makefile("rb").readline()
