@@ -130,8 +130,10 @@ def legal_actions(s: EpisodeState) -> list[tuple[int, int]]:
 
 def best_action(p: GnnParams, s: EpisodeState,
                 actions: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """Highest-scoring action; exact ties go to the earliest (ue, cell) pair."""
-    return actions[int(np.argmax(score_actions(p, s.graph, s.cap, actions)))]
+    """Highest-scoring action; exact ties go to the earliest (ue, cell) pair,
+    and a NaN score never wins over a number."""
+    q = score_actions(p, s.graph, s.cap, actions)
+    return actions[int(np.argmax(np.where(np.isnan(q), -np.inf, q)))]
 
 
 def select_action(p: GnnParams, s: EpisodeState, epsilon: float,

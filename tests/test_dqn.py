@@ -130,6 +130,18 @@ def test_select_action_greedy_matches_score_all_oracle():
         assert best_action(p, s, acts) == want
 
 
+def test_best_action_passes_over_nan_scores(monkeypatch):
+    import cellconn.dqn as dqn
+    s = EpisodeState(graph=make_graph(4, [None]), unassigned=(0,),
+                     candidates={0: (0, 1, 2, 3)}, cap=np.ones((4, 1)))
+    acts = legal_actions(s)
+    for scores, want in [([math.nan, 1.0, math.nan, 2.0], acts[3]),
+                         ([math.nan, -math.inf, 0.5, 0.5], acts[2]),
+                         ([math.nan] * 4, acts[0])]:
+        monkeypatch.setattr(dqn, "score_actions", lambda *_, q=scores: np.array(q))
+        assert best_action(zeros_params(), s, acts) == want
+
+
 def test_select_action_no_legal_action_raises():
     s = EpisodeState(graph=make_graph(2, [0, 1]), unassigned=(),
                      candidates={}, cap=np.ones((2, 2)))
