@@ -208,15 +208,15 @@ def _gain_pct(policy: float, baseline: float) -> float | None:
 def evaluate_point(params, cfg: ExperimentConfig, point_idx: int,
                    point: SweepPoint) -> list[dict]:
     """Per-deployment policy/baseline metrics and gains for one sweep point,
-    followed by the point's median and mean aggregate rows."""
-    tc = cfg.train_config()
+    followed by the point's median and mean aggregate rows.  The cell-edge
+    UEs are those of the model's own threshold, as in ``serve``."""
     rows: list[dict] = []
     gains: dict[str, list[float]] = {m: [] for m in _METRICS}
     excluded = {m: 0 for m in _METRICS}
     for i in range(cfg.n_eval_deployments):
         dep = eval_deployment(cfg, point_idx, point, i)
         cap = dep.cap
-        policy_g = greedy_rollout(params, deployment_state(dep, tc))
+        policy_g = greedy_rollout(params, deployment_state(dep, params))
         base_g = max_rsrp_graph(dep)
         row = {"row_type": "deployment", "n_cells": point.n_cells,
                "n_ues": point.n_ues, "density_cells_km2": point.density_cells_km2,

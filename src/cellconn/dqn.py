@@ -256,10 +256,10 @@ def run_episode(p: GnnParams, cfg: TrainConfig, state: EpisodeState,
     return p, ep_return, losses, state.graph
 
 
-def deployment_state(dep: Deployment, cfg: TrainConfig) -> EpisodeState:
-    """Initial episode state for a deployment under the given config; each
-    reshuffled UE's candidates are the cells of its measurement report."""
-    g0, reshuffled = initial_graph(dep, cfg.edge_threshold_db)
+def deployment_state(dep: Deployment, src: TrainConfig | GnnParams) -> EpisodeState:
+    """Initial episode state under the cell-edge threshold of ``src``, a train
+    config or a model; each reshuffled UE's candidates are its report's cells."""
+    g0, reshuffled = initial_graph(dep, src.edge_threshold_db)
     return EpisodeState(graph=g0, unassigned=reshuffled,
                         candidates={j: tuple(dep.report_cells[j].tolist())
                                     for j in reshuffled},

@@ -26,11 +26,11 @@ def capacity_matrix(dep: Deployment) -> np.ndarray:
     return dep.cap
 
 
-def build_cell_graph(dep: Deployment, d_max_m: float = DEFAULT_D_MAX_M) -> np.ndarray:
-    """Symmetric zero-diagonal cell adjacency: sites strictly closer than d_max_m."""
+def build_cell_graph(dep: Deployment) -> np.ndarray:
+    """Symmetric zero-diagonal cell adjacency: sites strictly closer than DEFAULT_D_MAX_M."""
     d = dep.cells[:, None, :] - dep.cells[None, :, :]
     dist = np.hypot(d[..., 0], d[..., 1])
-    adj = (dist < d_max_m).astype(float)
+    adj = (dist < DEFAULT_D_MAX_M).astype(float)
     np.fill_diagonal(adj, 0.0)
     return adj
 
@@ -44,7 +44,6 @@ class ConnectionGraph:
 
     cell_adj: np.ndarray
     assign: np.ndarray
-    d_max_m: float = DEFAULT_D_MAX_M
 
     @property
     def n_cells(self) -> int:

@@ -25,9 +25,10 @@ from cellconn.gnn import GnnParams, load_model
 from cellconn.graph import UNASSIGNED, ConnectionGraph, build_cell_graph, initial_graph
 from cellconn.netmodel import Deployment, MeasurementReport, load_deployment
 
-# How long a TCP client may go without a complete request line before a
-# client waiting to connect takes its turn.  A lone client is never cut off,
-# so this only bounds how long a waiting client waits behind a stalled one.
+# How long a TCP client may go without a complete request line, or without
+# taking any bytes of a reply, before a client waiting to connect takes its
+# turn.  A lone client is never cut off, so this only bounds how long a
+# waiting client waits behind a stalled one.
 CONN_READ_TIMEOUT_S = 10.0
 
 __all__ = [
@@ -205,21 +206,28 @@ def serve_stream(p: GnnParams, dep: Deployment, rfile, wfile) -> int:
     return handled
 
 
-def _request_lines(conn: socket.socket, srv: socket.socket):
-    """Yield a TCP client's request lines, as bytes, until it hangs up.  Once
-    it has sent no complete line for ``CONN_READ_TIMEOUT_S``, it is cut off as
-    soon as another client waits on ``srv``."""
-    buf, since = bytearray(), time.monotonic()
+def _ready(conn: socket.socket, srv: socket.socket, since: float, write: bool = False) -> bool:
+    """Wait until ``conn`` can be read (or written).  False once it has made no
+    progress since ``since`` for ``CONN_READ_TIMEOUT_S`` and another client
+    waits on ``srv``; a lone client is waited for as long as it takes."""
+    rd, wr = ([], [conn]) if write else ([conn], [])
     while True:
         left = since + CONN_READ_TIMEOUT_S - time.monotonic()
         if left > 0:
-            ready = select.select([conn], [], [], left)[0]
-        else:  # silent too long: wait for data or for the next client
-            ready = select.select([conn, srv], [], [])[0]
-        if srv in ready:
-            return
-        if not ready:
-            continue
+            ready = select.select(rd, wr, [], left)
+        else:  # stalled too long: wait for progress or for the next client
+            ready = select.select(rd + [srv], wr, [])
+        if srv in ready[0]:
+            return False
+        if ready[0] or ready[1]:
+            return True
+
+
+def _request_lines(conn: socket.socket, srv: socket.socket):
+    """Yield a TCP client's request lines, as bytes, until it hangs up or has
+    sent no complete line for too long (see ``_ready``)."""
+    buf, since = bytearray(), time.monotonic()
+    while _ready(conn, srv, since):
         chunk = conn.recv(65536)
         if not chunk:  # hung up; an unterminated last line is still a request
             if buf:
@@ -233,11 +241,29 @@ def _request_lines(conn: socket.socket, srv: socket.socket):
         buf += tail
 
 
+class _ReplyWriter:
+    """Text sink that sends each reply in full to a non-blocking TCP client;
+    one that takes no bytes for too long (see ``_ready``) is cut off."""
+
+    def __init__(self, conn: socket.socket, srv: socket.socket):
+        self.conn, self.srv = conn, srv
+
+    def write(self, text: str) -> None:
+        data, since = memoryview(text.encode("utf-8")), time.monotonic()
+        while data:
+            if not _ready(self.conn, self.srv, since, write=True):
+                raise ConnectionAbortedError("client stopped reading its replies")
+            data, since = data[self.conn.send(data):], time.monotonic()
+
+    def flush(self) -> None:
+        pass
+
+
 def serve(model_path: str, deployment_path: str, endpoint: str = "-") -> None:
     """Run the handover service on stdin/stdout ("-") or a TCP endpoint
     ("host:port").  TCP connections are served one at a time; a client that
-    resets, or that stalls while another client waits (see
-    ``_request_lines``), loses only its own connection."""
+    resets, or that stalls in reading or writing while another client waits
+    (see ``_ready``), loses only its own connection."""
     p = load_model(model_path)
     dep = load_deployment(deployment_path)
     if endpoint == "-":
@@ -249,8 +275,9 @@ def serve(model_path: str, deployment_path: str, endpoint: str = "-") -> None:
     with socket.create_server((host, int(port))) as srv:
         while True:
             conn, _ = srv.accept()
+            conn.setblocking(False)
             try:
-                with conn, conn.makefile("w", encoding="utf-8") as wf:
-                    serve_stream(p, dep, _request_lines(conn, srv), wf)
+                with conn:
+                    serve_stream(p, dep, _request_lines(conn, srv), _ReplyWriter(conn, srv))
             except ConnectionError:  # reset or broken pipe: only this client is gone
                 pass

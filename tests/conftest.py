@@ -10,13 +10,12 @@ from cellconn.netmodel import (Deployment, RadioConfig, distance_3d_m,
                                pathloss_db)
 
 
-def make_graph(n_cells: int, assign, cell_adj: np.ndarray | None = None,
-               d_max_m: float = 250.0) -> ConnectionGraph:
+def make_graph(n_cells: int, assign, cell_adj: np.ndarray | None = None) -> ConnectionGraph:
     """Graph with an explicit assignment list (None entries = unassigned)."""
     a = np.array([UNASSIGNED if x is None else x for x in assign], dtype=np.int64)
     if cell_adj is None:
         cell_adj = np.zeros((n_cells, n_cells))
-    return ConnectionGraph(cell_adj=cell_adj, assign=a, d_max_m=d_max_m)
+    return ConnectionGraph(cell_adj=cell_adj, assign=a)
 
 
 def make_deployment(cells, ues, shadow_db=None, seed: int = 0,

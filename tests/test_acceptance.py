@@ -83,7 +83,7 @@ def test_criterion_2_score_invariant_under_relabeling():
             assign = np.array([UNASSIGNED if g.assign[u] == UNASSIGNED
                                else inv[g.assign[u]] for u in up], dtype=np.int64)
             pg = ConnectionGraph(cell_adj=g.cell_adj[np.ix_(cp, cp)],
-                                 assign=assign, d_max_m=g.d_max_m)
+                                 assign=assign)
             pcap = cap[np.ix_(cp, up)]
             score = forward(p, pg, input_features(pg, pcap)).score
             worst = max(worst, abs(score - base))
@@ -182,8 +182,7 @@ def test_criterion_4_policy_near_exhaustive_optimum_on_micro_instances():
             best = -math.inf
             for assign in itertools.product(range(2), repeat=4):
                 cand = ConnectionGraph(cell_adj=np.zeros((2, 2)),
-                                       assign=np.array(assign, dtype=np.int64),
-                                       d_max_m=250.0)
+                                       assign=np.array(assign, dtype=np.int64))
                 best = max(best, _kind_utility(kind, cand, cap))
             optimum_u.append(best)
         ratios[kind] = statistics.median(policy_u) / statistics.median(optimum_u)

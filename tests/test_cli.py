@@ -18,7 +18,7 @@ from cellconn.cli import (ExperimentConfig, GAIN_COLUMNS, SweepPoint, UsageError
                           config_from_dict, eval_deployment, load_config, main,
                           sweep_points)
 from cellconn.dqn import TrainConfig
-from cellconn.gnn import init_params, load_model, save_model
+from cellconn.gnn import GnnParams, init_params, load_model, save_model
 from cellconn.graph import capacity_matrix
 from cellconn.metrics import coverage, jain_index, sum_throughput
 from cellconn.netmodel import generate_deployment, save_deployment
@@ -243,10 +243,10 @@ def test_train_respects_n_train_deployments(tmp_path):
 # ------------------------------------------------------------------- eval ---
 
 def stub_model(tmp_path) -> str:
-    """Any valid model will do: with edge threshold 0 no UE is ever reshuffled,
-    so the policy graph is forced to coincide with the max-RSRP baseline."""
+    """Any weights will do: the model's edge threshold 0 reshuffles no UE, so
+    the policy graph is forced to coincide with the max-RSRP baseline."""
     path = str(tmp_path / "model.json")
-    save_model(init_params(0, 2, 8, 0.3), path)
+    save_model(GnnParams(2, 8, init_params(0, 2, 8, 0.3).vec, 0.0), path)
     return path
 
 
@@ -270,6 +270,17 @@ def test_eval_stub_policy_gains_exactly_zero(tmp_path):
         for m in ("throughput", "coverage", "jain"):
             assert float(r[f"gain_{m}_pct"]) == 0.0
             assert int(r[f"excluded_{m}"]) == 0
+
+
+def test_eval_takes_the_threshold_from_the_model_not_the_config(tmp_path):
+    model, _ = cmd_train(config_from_dict(micro_doc()), str(tmp_path / "run"))
+    reports = []
+    for threshold in (0.0, 3.0):
+        train = dict(micro_doc()["train"], edge_threshold_db=threshold)
+        path = cmd_eval(config_from_dict(micro_doc(train=train)), model,
+                        str(tmp_path / f"eval_{threshold}"))
+        reports.append(open(path, "rb").read())
+    assert reports[0] == reports[1]
 
 
 def test_eval_rerun_byte_identical(tmp_path):

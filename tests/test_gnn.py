@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cellconn.gnn import (GnnParams, backward, forward, init_params, load_model,
-                          save_model, score_action)
+                          save_model, score_action, score_actions)
 from cellconn.graph import (NodeFeatures, build_cell_graph, capacity_matrix,
                             connect, input_features)
 from cellconn.netmodel import generate_deployment
@@ -146,6 +146,14 @@ def test_score_invariant_under_relabelings(rng):
         assert abs(forward(p, g_c, f_c).score - q0) < 1e-9
         g_u, cap_u, f_u = permute_ues(g, cap, feats, rng.permutation(g.n_ues))
         assert abs(forward(p, g_u, f_u).score - q0) < 1e-9
+        # score_actions: relabel cells and UEs, and the actions with them
+        actions = [(c, int(u)) for u in np.flatnonzero(g.assign < 0) for c in range(g.n_cells)]
+        cp, up = rng.permutation(g.n_cells), rng.permutation(g.n_ues)
+        g_cu, cap_cu, _ = permute_ues(*permute_cells(g, cap, feats, cp), up)
+        new_c, new_u = np.argsort(cp), np.argsort(up)
+        moved = [(int(new_c[c]), int(new_u[u])) for c, u in actions]
+        assert np.allclose(score_actions(p, g_cu, cap_cu, moved),
+                           score_actions(p, g, cap, actions), rtol=0.0, atol=1e-9)
 
 
 def finite_difference_check(p, g, feats, h=1e-5, grad_floor=1e-8):

@@ -23,9 +23,11 @@ def test_capacity_matrix_matches_scalar_op():
 
 def test_cell_graph_distance_rule():
     dep = make_deployment([(0, 0), (100, 0)], [(0, 0)])
-    assert build_cell_graph(dep, 250.0)[0, 1] == 1.0
+    assert build_cell_graph(dep)[0, 1] == 1.0
     dep = make_deployment([(0, 0), (300, 0)], [(0, 0)])
-    assert build_cell_graph(dep, 250.0)[0, 1] == 0.0
+    assert build_cell_graph(dep)[0, 1] == 0.0
+    dep = make_deployment([(0, 0), (250, 0)], [(0, 0)])  # exactly 250 m: not strictly closer
+    assert build_cell_graph(dep)[0, 1] == 0.0
 
 
 def test_cell_graph_single_cell_zero():

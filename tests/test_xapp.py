@@ -487,3 +487,36 @@ def test_serve_tcp_cuts_off_a_trickling_client_when_another_waits(tmp_path, monk
             with contextlib.suppress(OSError):  # one byte per 0.1 s, never a newline
                 trickler.sendall(b" ")
         assert b"assignments" in second.makefile("rb").readline()
+
+
+def test_serve_tcp_cuts_off_a_client_that_never_reads_when_another_waits(tmp_path, monkeypatch):
+    monkeypatch.setattr(xapp, "CONN_READ_TIMEOUT_S", 0.5)
+    port, flooder = serve_tcp_in_background(tmp_path)
+    with flooder:
+        flooder.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        flooder.setblocking(False)
+        sent, last = 0, time.monotonic()
+        while time.monotonic() - last < 0.5:  # until the service stops taking bytes
+            with contextlib.suppress(BlockingIOError):
+                sent += flooder.send(b"x\n" * 32768)
+                last = time.monotonic()
+            time.sleep(0.01)
+        assert sent > 1_000_000  # megabytes of lines, and no reply read
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as second:
+            second.sendall(TCP_REQUEST)
+            assert select.select([second], [], [], 3)[0], "the waiting client got no reply"
+            assert b"assignments" in second.makefile("rb").readline()
+
+
+def test_serve_tcp_keeps_a_lone_client_that_reads_late(tmp_path, monkeypatch):
+    monkeypatch.setattr(xapp, "CONN_READ_TIMEOUT_S", 0.2)
+    _, client = serve_tcp_in_background(tmp_path)
+    n = 150_000  # about 6 MB of replies, more than the socket buffers hold
+    with client, client.makefile("rb") as rf:
+        client.sendall(b"x\n" * n + TCP_REQUEST)
+        client.shutdown(socket.SHUT_WR)
+        time.sleep(2.0)  # reads nothing far past the timeout, with no other client waiting
+        replies = rf.readlines()
+    assert len(replies) == n + 1
+    assert all(b"bad JSON" in r for r in replies[:n])
+    assert b"assignments" in replies[-1]

@@ -43,7 +43,7 @@ def optimal_final_graph(state, lam: float) -> ConnectionGraph:
         for u, c in zip(edge, partial):
             if c is not None:
                 assign[u] = c
-        return ConnectionGraph(cell_adj=g0.cell_adj, assign=assign, d_max_m=g0.d_max_m)
+        return ConnectionGraph(cell_adj=g0.cell_adj, assign=assign)
 
     @lru_cache(maxsize=None)
     def best(partial):
