@@ -199,7 +199,7 @@ def load_model(path: str) -> GnnParams:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
-    if version not in (1, MODEL_FORMAT_VERSION):
+    if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format_version {version!r}")
     n_layers, width = int(doc["layers"]), int(doc["width"])
     rounds = [[np.asarray(w, dtype=float) for w in doc[k]] for k in ("w1", "w2", "w3")]

@@ -37,8 +37,9 @@ class RadioConfig:
     report_set_size: int = 4          # cells per measurement report
 
     def __post_init__(self) -> None:
-        if self.report_set_size < 1:  # an empty report leaves a UE no legal action
-            raise ValueError(f"report_set_size must be >= 1, got {self.report_set_size}")
+        k = self.report_set_size  # a slice bound; an empty report leaves a UE no legal action
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ValueError(f"report_set_size must be an integer >= 1, got {k!r}")
         if not (all(map(math.isfinite, astuple(self))) and self.carrier_ghz > 0
                 and self.bandwidth_mhz > 0 and self.shadow_sigma_db >= 0):
             raise ValueError(f"radio values must be finite, with carrier_ghz > 0, bandwidth_mhz "

@@ -5,16 +5,19 @@ A handover event is one UE's current measurement report.  The app
 cuts out the subgraph the Q-network can actually see (reported cells, their
 neighbors up to the message-passing depth, and the UEs served there),
 re-decides the cell-edge UEs inside it greedily, and answers with the new
-assignments.  Graph state is committed after every answered request.
+assignments.  Each stream (stdin, or one TCP connection on its own thread)
+is its own session: its graph starts from the deployment's initial state and
+is committed after every answered request.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-import select
 import socket
 import sys
+import threading
 import time
 from dataclasses import dataclass, replace
 
@@ -24,12 +27,6 @@ from cellconn.dqn import EpisodeState, greedy_rollout
 from cellconn.gnn import GnnParams, load_model
 from cellconn.graph import UNASSIGNED, ConnectionGraph, build_cell_graph, initial_graph
 from cellconn.netmodel import Deployment, MeasurementReport, load_deployment
-
-# How long a TCP client may go without a complete request line, or without
-# taking any bytes of a reply, before a client waiting to connect takes its
-# turn.  A lone client is never cut off, so this only bounds how long a
-# waiting client waits behind a stalled one.
-CONN_READ_TIMEOUT_S = 10.0
 
 __all__ = [
     "SubGraph", "extract_subgraph", "handle_event",
@@ -206,64 +203,11 @@ def serve_stream(p: GnnParams, dep: Deployment, rfile, wfile) -> int:
     return handled
 
 
-def _ready(conn: socket.socket, srv: socket.socket, since: float, write: bool = False) -> bool:
-    """Wait until ``conn`` can be read (or written).  False once it has made no
-    progress since ``since`` for ``CONN_READ_TIMEOUT_S`` and another client
-    waits on ``srv``; a lone client is waited for as long as it takes."""
-    rd, wr = ([], [conn]) if write else ([conn], [])
-    while True:
-        left = since + CONN_READ_TIMEOUT_S - time.monotonic()
-        if left > 0:
-            ready = select.select(rd, wr, [], left)
-        else:  # stalled too long: wait for progress or for the next client
-            ready = select.select(rd + [srv], wr, [])
-        if srv in ready[0]:
-            return False
-        if ready[0] or ready[1]:
-            return True
-
-
-def _request_lines(conn: socket.socket, srv: socket.socket):
-    """Yield a TCP client's request lines, as bytes, until it hangs up or has
-    sent no complete line for too long (see ``_ready``)."""
-    buf, since = bytearray(), time.monotonic()
-    while _ready(conn, srv, since):
-        chunk = conn.recv(65536)
-        if not chunk:  # hung up; an unterminated last line is still a request
-            if buf:
-                yield bytes(buf)
-            return
-        *lines, tail = chunk.split(b"\n")
-        for line in lines:
-            yield bytes(buf) + line
-            buf.clear()
-            since = time.monotonic()
-        buf += tail
-
-
-class _ReplyWriter:
-    """Text sink that sends each reply in full to a non-blocking TCP client;
-    one that takes no bytes for too long (see ``_ready``) is cut off."""
-
-    def __init__(self, conn: socket.socket, srv: socket.socket):
-        self.conn, self.srv = conn, srv
-
-    def write(self, text: str) -> None:
-        data, since = memoryview(text.encode("utf-8")), time.monotonic()
-        while data:
-            if not _ready(self.conn, self.srv, since, write=True):
-                raise ConnectionAbortedError("client stopped reading its replies")
-            data, since = data[self.conn.send(data):], time.monotonic()
-
-    def flush(self) -> None:
-        pass
-
-
 def serve(model_path: str, deployment_path: str, endpoint: str = "-") -> None:
     """Run the handover service on stdin/stdout ("-") or a TCP endpoint
-    ("host:port").  TCP connections are served one at a time; a client that
-    resets, or that stalls in reading or writing while another client waits
-    (see ``_ready``), loses only its own connection."""
+    ("host:port").  Each TCP connection is its own session, served on its own
+    daemon thread, so a client that stalls, trickles, never reads its replies
+    or resets holds up only its own connection."""
     p = load_model(model_path)
     dep = load_deployment(deployment_path)
     if endpoint == "-":
@@ -275,9 +219,11 @@ def serve(model_path: str, deployment_path: str, endpoint: str = "-") -> None:
     with socket.create_server((host, int(port))) as srv:
         while True:
             conn, _ = srv.accept()
-            conn.setblocking(False)
-            try:
-                with conn:
-                    serve_stream(p, dep, _request_lines(conn, srv), _ReplyWriter(conn, srv))
-            except ConnectionError:  # reset or broken pipe: only this client is gone
-                pass
+            threading.Thread(target=_serve_connection, args=(p, dep, conn), daemon=True).start()
+
+
+def _serve_connection(p: GnnParams, dep: Deployment, conn: socket.socket) -> None:
+    # A reset or broken pipe, also in the last flush on close, ends only this client.
+    with (conn, contextlib.suppress(ConnectionError), conn.makefile("rb") as rfile,
+          conn.makefile("w", encoding="utf-8") as wfile):
+        serve_stream(p, dep, rfile, wfile)

@@ -5,9 +5,12 @@ import io
 import json
 import os
 import shutil
+import signal
+import socket
 import statistics
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -417,6 +420,35 @@ def test_module_entry_point_usage_error_exits_1():
                           env=_child_env())
     assert proc.returncode == 1
     assert "error:" in proc.stderr
+
+
+def test_module_entry_point_serves_tcp_clients_side_by_side_and_exits_on_sigint(tmp_path):
+    model, dep = str(tmp_path / "model.json"), str(tmp_path / "dep.json")
+    save_model(init_params(8, 2, 8, 0.3), model)
+    save_deployment(generate_deployment(41, 2, 4), dep)
+    with socket.socket() as probe:  # a port that is free now
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    proc = subprocess.Popen([sys.executable, "-m", "cellconn", "serve", "--model", model,
+                             "--deployment", dep, "--endpoint", f"127.0.0.1:{port}"],
+                            stderr=subprocess.PIPE, text=True, env=_child_env())
+    try:
+        deadline = time.monotonic() + 60
+        while True:  # wait until the service listens
+            try:
+                idle = socket.create_connection(("127.0.0.1", port), timeout=3)
+                break
+            except ConnectionRefusedError:
+                assert proc.poll() is None and time.monotonic() < deadline, "never listened"
+                time.sleep(0.05)
+        with idle, socket.create_connection(("127.0.0.1", port), timeout=3) as second:
+            second.sendall(b'{"type": "handover", "ue": 0, "rsrp_dbm": {"0": -60.0}}\n')
+            assert b"assignments" in second.makefile("rb").readline()
+            proc.send_signal(signal.SIGINT)  # both connections still open
+            assert proc.wait(timeout=5) == 2
+    finally:
+        proc.kill()
+        proc.communicate()
 
 
 @pytest.mark.skipif(shutil.which("cellconn") is None,

@@ -1,5 +1,6 @@
 """Q-network forward/backward, pinned to hand-traced and finite-difference oracles."""
 
+import json
 import math
 from pathlib import Path
 
@@ -305,9 +306,12 @@ def test_model_wrong_matrix_count_errors(tmp_path):
 
 def test_model_bad_version_errors(tmp_path):
     path = tmp_path / "model.json"
-    path.write_text('{"format_version": 99}')
-    with pytest.raises(ValueError, match="format_version"):
-        load_model(str(path))
+    save_model(init_params(0, 1, 8, 0.01), str(path))
+    good = json.loads(path.read_text())
+    for version in (99, True, 1.0, 2.0):  # True == 1 and 2.0 == 2, but neither is a version
+        path.write_text(json.dumps(dict(good, format_version=version)))
+        with pytest.raises(ValueError, match="format_version"):
+            load_model(str(path))
 
 
 def test_model_without_layers_errors(tmp_path):

@@ -232,14 +232,20 @@ def test_radio_values_the_model_cannot_use_rejected(tmp_path):
                      ("tx_power_dbm", math.nan), ("noise_figure_db", math.inf)]:
         with pytest.raises(ValueError, match=f"{key}={bad}"):
             RadioConfig(**{key: bad})
+    for bad in (2.0, True, "4"):  # a report holds a whole number of cells
+        with pytest.raises(ValueError, match="report_set_size"):
+            RadioConfig(report_set_size=bad)
     RadioConfig(shadow_sigma_db=0.0)  # no shadowing is fine
     path = tmp_path / "dep.json"
     save_deployment(generate_deployment(42, 3, 4), str(path))
     doc = json.loads(path.read_text(encoding="utf-8"))
-    doc["radio"]["bandwidth_mhz"] = -1  # log10 of a negative bandwidth in noise_dbm
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ValueError, match="bandwidth_mhz=-1"):
-        load_deployment(str(path))
+    for key, bad, match in [("bandwidth_mhz", -1, "bandwidth_mhz=-1"),  # log10 in noise_dbm
+                            ("report_set_size", 2.0, "report_set_size"),  # a slice bound
+                            ("report_set_size", True, "report_set_size")]:
+        path.write_text(json.dumps(dict(doc, radio=dict(doc["radio"], **{key: bad}))),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=match):
+            load_deployment(str(path))
 
 
 def test_stored_radio_arrays_match_closed_form_and_are_read_only():

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellconn.netmodel as netmodel
-import cellconn.xapp as xapp
 from cellconn.cli import cmd_train, config_from_dict
 from cellconn.dqn import TrainConfig, deployment_state, train
 from cellconn.gnn import GnnParams, init_params, load_model, save_model
@@ -446,18 +445,17 @@ def test_serve_tcp_outlives_a_client_reset(tmp_path):
         assert b"assignments" in second.makefile("rb").readline()
 
 
-def test_serve_tcp_outlives_an_idle_client(tmp_path, monkeypatch):
-    monkeypatch.setattr(xapp, "CONN_READ_TIMEOUT_S", 0.5)
+def test_serve_tcp_outlives_an_idle_client(tmp_path):
     port, idle = serve_tcp_in_background(tmp_path)
-    with idle:  # connects first and never sends a byte
+    with idle:  # connects first and sends nothing until the second is answered
         with socket.create_connection(("127.0.0.1", port), timeout=5) as second:
             second.sendall(TCP_REQUEST)
             assert b"assignments" in second.makefile("rb").readline()
-        assert idle.recv(1) == b""  # the service closed the idle connection
+        idle.sendall(TCP_REQUEST)  # its session is still open
+        assert b"assignments" in idle.makefile("rb").readline()
 
 
-def test_serve_tcp_keeps_a_lone_client_that_pauses(tmp_path, monkeypatch):
-    monkeypatch.setattr(xapp, "CONN_READ_TIMEOUT_S", 0.2)
+def test_serve_tcp_keeps_a_lone_client_that_pauses(tmp_path):
     _, client = serve_tcp_in_background(tmp_path)
     lines = ['{"type": "handover", "ue": 1, "rsrp_dbm": {"1": -60.0}}',
              '{"type": "handover", "ue": 0, "rsrp_dbm": {"0": -60.0, "1": -61.0}}']
@@ -466,7 +464,7 @@ def test_serve_tcp_keeps_a_lone_client_that_pauses(tmp_path, monkeypatch):
         for line in lines:
             client.sendall(line.encode() + b"\n")
             got.append(json.loads(rf.readline()))
-            time.sleep(0.5)  # silent past the timeout, with no other client waiting
+            time.sleep(0.5)  # silent for a while between requests
     dep = netmodel.load_deployment(str(tmp_path / "dep.json"))
     p = load_model(str(tmp_path / "model.json"))
     want, fresh = run_lines(lines, dep=dep, p=p), run_lines(lines[1:], dep=dep, p=p)
@@ -476,8 +474,7 @@ def test_serve_tcp_keeps_a_lone_client_that_pauses(tmp_path, monkeypatch):
     assert got[1] != fresh[0]  # the second reply saw the graph the first one committed
 
 
-def test_serve_tcp_cuts_off_a_trickling_client_when_another_waits(tmp_path, monkeypatch):
-    monkeypatch.setattr(xapp, "CONN_READ_TIMEOUT_S", 0.5)
+def test_serve_tcp_answers_a_client_while_another_trickles(tmp_path):
     port, trickler = serve_tcp_in_background(tmp_path)
     with trickler, socket.create_connection(("127.0.0.1", port), timeout=5) as second:
         second.sendall(TCP_REQUEST)
@@ -487,10 +484,13 @@ def test_serve_tcp_cuts_off_a_trickling_client_when_another_waits(tmp_path, monk
             with contextlib.suppress(OSError):  # one byte per 0.1 s, never a newline
                 trickler.sendall(b" ")
         assert b"assignments" in second.makefile("rb").readline()
+        trickler.sendall(b"\n" + TCP_REQUEST)  # ends its blank line, then a request
+        with trickler.makefile("rb") as rf:
+            assert b"empty request line" in rf.readline()
+            assert b"assignments" in rf.readline()
 
 
-def test_serve_tcp_cuts_off_a_client_that_never_reads_when_another_waits(tmp_path, monkeypatch):
-    monkeypatch.setattr(xapp, "CONN_READ_TIMEOUT_S", 0.5)
+def test_serve_tcp_answers_a_client_while_another_never_reads(tmp_path):
     port, flooder = serve_tcp_in_background(tmp_path)
     with flooder:
         flooder.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
@@ -508,15 +508,29 @@ def test_serve_tcp_cuts_off_a_client_that_never_reads_when_another_waits(tmp_pat
             assert b"assignments" in second.makefile("rb").readline()
 
 
-def test_serve_tcp_keeps_a_lone_client_that_reads_late(tmp_path, monkeypatch):
-    monkeypatch.setattr(xapp, "CONN_READ_TIMEOUT_S", 0.2)
+def test_serve_tcp_keeps_a_lone_client_that_reads_late(tmp_path):
     _, client = serve_tcp_in_background(tmp_path)
     n = 150_000  # about 6 MB of replies, more than the socket buffers hold
     with client, client.makefile("rb") as rf:
         client.sendall(b"x\n" * n + TCP_REQUEST)
         client.shutdown(socket.SHUT_WR)
-        time.sleep(2.0)  # reads nothing far past the timeout, with no other client waiting
+        time.sleep(2.0)  # reads nothing while the service has replies to send
         replies = rf.readlines()
     assert len(replies) == n + 1
     assert all(b"bad JSON" in r for r in replies[:n])
     assert b"assignments" in replies[-1]
+
+
+def test_serve_tcp_answers_an_unterminated_line_and_releases_each_session(tmp_path):
+    before = threading.active_count()
+    port, first = serve_tcp_in_background(tmp_path)
+    first.close()
+    for _ in range(50):
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as client:
+            client.sendall(TCP_REQUEST.rstrip(b"\n"))  # hangs up without a newline
+            client.shutdown(socket.SHUT_WR)
+            assert b"assignments" in client.makefile("rb").readline()
+    deadline = time.monotonic() + 5
+    while threading.active_count() > before + 1:  # only the service's own thread stays
+        assert time.monotonic() < deadline, "session threads outlived their connections"
+        time.sleep(0.05)
