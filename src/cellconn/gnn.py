@@ -77,19 +77,25 @@ def init_params(seed: int, n_layers: int = 2, width: int = 8,
 
 
 @dataclass
+class Round:
+    """One message-passing round as ``backward`` reads it: inputs and pre-activations.
+    The last round has no UE branch (``xu``, ``u3`` stay None): its UE embeddings feed nothing."""
+
+    x1: np.ndarray
+    x2: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    xu: np.ndarray | None = None
+    u3: np.ndarray | None = None
+
+
+@dataclass
 class ForwardTrace:
-    """Everything ``backward`` needs: per-round inputs and pre-activations."""
+    """Everything ``backward`` needs: one ``Round`` per layer and the readout."""
 
     a_cl: np.ndarray
     a_ue: np.ndarray
-    x1: list[np.ndarray] = field(default_factory=list)
-    x2: list[np.ndarray] = field(default_factory=list)
-    xu: list[np.ndarray] = field(default_factory=list)
-    u1: list[np.ndarray] = field(default_factory=list)
-    u2: list[np.ndarray] = field(default_factory=list)
-    u3: list[np.ndarray] = field(default_factory=list)
-    h_cl: list[np.ndarray] = field(default_factory=list)
-    h_ue: list[np.ndarray] = field(default_factory=list)
+    rounds: list[Round] = field(default_factory=list)
     pooled: np.ndarray | None = None
     z: np.ndarray | None = None
     score: float = 0.0
@@ -99,32 +105,25 @@ def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures) -> ForwardTra
     """Run the message-passing rounds and the readout head.
 
     Per round l (inputs x1, x2 over cells, xu over UEs):
-        h_cl = relu(x1 w1[l]) + relu(x2 w2[l])
-        h_ue = relu(xu w3[l])
-        x1' = A_cl h_cl ; xu' = A_ue^T h_cl ; x2' = A_ue h_ue
+        h_cl = relu(x1 w1[l]) + relu(x2 w2[l]) ; x1' = A_cl h_cl
+        h_ue = relu(xu w3[l]) ; x2' = A_ue h_ue ; xu' = A_ue^T h_cl
     Readout: score = relu(sum_rows(h_cl) w4) . w5
+    The score reads only the last round's h_cl, so the last round computes no
+    h_ue, and the round before it no xu'.
     """
     t = ForwardTrace(a_cl=g.cell_adj, a_ue=ue_adjacency(g))
     x1, x2, xu = feats.cell_rate, feats.cell_cap, feats.ue
     for layer in range(p.n_layers):
-        t.x1.append(x1)
-        t.x2.append(x2)
-        t.xu.append(xu)
-        u1 = x1 @ p.w1[layer]
-        u2 = x2 @ p.w2[layer]
-        u3 = xu @ p.w3[layer]
-        h_cl = _relu(u1) + _relu(u2)
-        h_ue = _relu(u3)
-        t.u1.append(u1)
-        t.u2.append(u2)
-        t.u3.append(u3)
-        t.h_cl.append(h_cl)
-        t.h_ue.append(h_ue)
-        if layer + 1 < p.n_layers:
-            x1 = t.a_cl @ h_cl
+        r = Round(x1, x2, x1 @ p.w1[layer], x2 @ p.w2[layer])
+        t.rounds.append(r)
+        h_cl = _relu(r.u1) + _relu(r.u2)
+        if layer + 1 == p.n_layers:  # the last round: its UE embeddings feed nothing
+            break
+        r.xu, r.u3 = xu, xu @ p.w3[layer]
+        x1, x2 = t.a_cl @ h_cl, t.a_ue @ _relu(r.u3)
+        if layer + 2 < p.n_layers:  # xu' feeds only a UE branch
             xu = t.a_ue.T @ h_cl
-            x2 = t.a_ue @ h_ue
-    t.pooled = t.h_cl[-1].sum(axis=0)
+    t.pooled = h_cl.sum(axis=0)
     t.z = t.pooled @ p.w4
     t.score = float(_relu(t.z) @ p.w5)
     return t
@@ -132,29 +131,27 @@ def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures) -> ForwardTra
 
 def backward(p: GnnParams, t: ForwardTrace) -> GnnParams:
     """Gradient of the scalar score w.r.t. every weight, from a forward trace,
-    laid out as a GnnParams (d(score)/d(weight) in each weight's slot)."""
-    n_cells = t.a_cl.shape[0]
+    laid out as a GnnParams (d(score)/d(weight) in each weight's slot).  The
+    last round's ``w3`` is never read, and its slot stays zero."""
     grad = GnnParams(p.n_layers, p.width)
     grad.w5[...] = _relu(t.z)
     g_z = p.w5 * (t.z > 0)
     grad.w4[...] = np.outer(t.pooled, g_z)
-    g_pool = p.w4 @ g_z
-    g_hcl = np.broadcast_to(g_pool, (n_cells, g_pool.shape[0])).copy()
-    g_hue = np.zeros_like(t.h_ue[-1])  # last round's UE embeddings feed nothing
-
+    g_hcl = np.broadcast_to(p.w4 @ g_z, t.rounds[-1].u1.shape)
     for layer in reversed(range(p.n_layers)):
-        g_u1 = g_hcl * (t.u1[layer] > 0)
-        g_u2 = g_hcl * (t.u2[layer] > 0)
-        g_u3 = g_hue * (t.u3[layer] > 0)
-        grad.w1[layer][...] = t.x1[layer].T @ g_u1
-        grad.w2[layer][...] = t.x2[layer].T @ g_u2
-        grad.w3[layer][...] = t.xu[layer].T @ g_u3
+        r = t.rounds[layer]
+        g_u1 = g_hcl * (r.u1 > 0)
+        g_u2 = g_hcl * (r.u2 > 0)
+        grad.w1[layer][...] = r.x1.T @ g_u1
+        grad.w2[layer][...] = r.x2.T @ g_u2
+        if r.u3 is not None:  # g_hue came from the round after this one
+            g_u3 = g_hue * (r.u3 > 0)
+            grad.w3[layer][...] = r.xu.T @ g_u3
         if layer > 0:
-            g_x1 = g_u1 @ p.w1[layer].T
-            g_x2 = g_u2 @ p.w2[layer].T
-            g_xu = g_u3 @ p.w3[layer].T
-            g_hcl = t.a_cl.T @ g_x1 + t.a_ue @ g_xu
-            g_hue = t.a_ue.T @ g_x2
+            g_hcl = t.a_cl.T @ (g_u1 @ p.w1[layer].T)
+            if r.u3 is not None:
+                g_hcl = g_hcl + t.a_ue @ (g_u3 @ p.w3[layer].T)
+            g_hue = t.a_ue.T @ (g_u2 @ p.w2[layer].T)
     return grad
 
 

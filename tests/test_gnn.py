@@ -84,18 +84,20 @@ def test_forward_hand_traced_scalar_chain():
                          ue=np.ones((1, 2)))
     t = forward(p, g, feats)
     assert t.score == pytest.approx(2.0, rel=1e-15)
-    assert t.h_cl[0][0, 0] == 4.0 and t.h_ue[0][0, 0] == 2.0
+    r = t.rounds[0]
+    assert (np.maximum(r.u1, 0) + np.maximum(r.u2, 0))[0, 0] == 4.0  # h_cl
+    assert np.maximum(r.u3, 0)[0, 0] == 2.0  # h_ue
 
 
 def test_forward_trace_shapes(rng):
     g, cap, feats = random_instance(rng, n=4, m=6)
     p = random_params(rng, width=8)
     t = forward(p, g, feats)
-    assert len(t.h_cl) == len(t.h_ue) == 2
-    for h in t.h_cl:
-        assert h.shape == (4, 8)
-    for h in t.h_ue:
-        assert h.shape == (6, 8)
+    assert len(t.rounds) == 2
+    for r in t.rounds:
+        assert r.u1.shape == r.u2.shape == (4, 8)
+    assert t.rounds[0].u3.shape == (6, 8)
+    assert t.rounds[-1].xu is None and t.rounds[-1].u3 is None  # no UE branch in the last round
     assert t.pooled.shape == (8,) and t.z.shape == (8,)
 
 
@@ -117,8 +119,10 @@ def test_layer_zero_positive_homogeneity(rng):
     scaled = NodeFeatures(cell_rate=k * feats.cell_rate,
                           cell_cap=k * feats.cell_cap, ue=k * feats.ue)
     t1, t2 = forward(p, g, feats), forward(p, g, scaled)
-    assert np.allclose(t2.h_cl[0], k * t1.h_cl[0], rtol=1e-12)
-    assert np.allclose(t2.h_ue[0], k * t1.h_ue[0], rtol=1e-12)
+    r1, r2 = t1.rounds[0], t2.rounds[0]
+    h_cl = lambda r: np.maximum(r.u1, 0) + np.maximum(r.u2, 0)
+    assert np.allclose(h_cl(r2), k * h_cl(r1), rtol=1e-12)
+    assert np.allclose(np.maximum(r2.u3, 0), k * np.maximum(r1.u3, 0), rtol=1e-12)
 
 
 def permute_cells(g, cap, feats, perm):
@@ -199,6 +203,24 @@ def test_gradients_zero_params():
     grads = backward(p, forward(p, g, feats))
     for arr in grads.arrays:
         assert np.all(arr == 0.0)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_last_round_w3_is_never_read(rng, n_layers):
+    # the score reads only the last round's cell embeddings, so its UE weights
+    # can hold anything: a NaN there changes neither the score nor a gradient
+    g, cap, feats = random_instance(rng, n=4, m=8, assigned_frac=1.0)
+    p = random_params(rng, n_layers=n_layers)
+    p.w3[-1][...] = 0.0
+    nan = GnnParams(n_layers, p.width, p.vec.copy())
+    nan.w3[-1][...] = math.nan
+    t, t_nan = forward(p, g, feats), forward(nan, g, feats)
+    assert t_nan.score == t.score
+    grad, grad_nan = backward(p, t), backward(nan, t_nan)
+    assert np.isfinite(grad_nan.vec).all() and np.any(grad.vec != 0.0)
+    unread = 3 * n_layers - 1  # w3[n_layers - 1] in storage order
+    for i, (a, b) in enumerate(zip(grad.arrays, grad_nan.arrays)):
+        assert i == unread or np.array_equal(a, b)
 
 
 def test_score_linear_in_readout_vector(rng):
