@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict, astuple
+from dataclasses import dataclass, field, fields, asdict, astuple
 
 import numpy as np
 
@@ -23,6 +23,20 @@ MAX_PLACEMENT_ATTEMPTS = 100_000
 
 class PlacementError(RuntimeError):
     """Raised when positions cannot be sampled under the active constraints."""
+
+
+def is_number(x) -> bool:
+    """True for an int or a float, but not a bool (JSON's ``true`` loads as an int)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def number_array(x, what: str) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array; ValueError naming ``what`` if any
+    entry is a bool, a string or anything else that ``float`` would coerce."""
+    a = np.asarray(x, dtype=object)
+    if not all(map(is_number, a.flat)):
+        raise ValueError(f"{what} must hold only numbers, got {x!r:.80}")
+    return a.astype(float)
 
 
 @dataclass(frozen=True)
@@ -40,10 +54,10 @@ class RadioConfig:
         k = self.report_set_size  # a slice bound; an empty report leaves a UE no legal action
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValueError(f"report_set_size must be an integer >= 1, got {k!r}")
-        if not (all(map(math.isfinite, astuple(self))) and self.carrier_ghz > 0
-                and self.bandwidth_mhz > 0 and self.shadow_sigma_db >= 0):
-            raise ValueError(f"radio values must be finite, with carrier_ghz > 0, bandwidth_mhz "
-                             f"> 0 and shadow_sigma_db >= 0, got {self}")
+        if not (all(is_number(v) and math.isfinite(v) for v in astuple(self))
+                and self.carrier_ghz > 0 and self.bandwidth_mhz > 0 and self.shadow_sigma_db >= 0):
+            raise ValueError(f"radio values must be finite numbers, with carrier_ghz > 0, "
+                             f"bandwidth_mhz > 0 and shadow_sigma_db >= 0, got {self}")
 
     def noise_dbm(self) -> float:
         """Thermal noise power over the full band: -174 dBm/Hz + 10log10(B) + NF."""
@@ -254,16 +268,26 @@ def save_deployment(dep: Deployment, path: str) -> None:
 
 
 def load_deployment(path: str) -> Deployment:
-    """Read a file written by ``save_deployment``; raises ValueError unless ``RadioConfig``
-    takes its radio and cells, ues, shadow_db are finite (n, 2), (m, 2), (n, m) arrays."""
+    """Read a file written by ``save_deployment``; raises ValueError unless ``seed`` is an
+    integer, ``hex_diameter_m`` a finite number > 0, ``radio`` an object that ``RadioConfig``
+    takes, and cells, ues, shadow_db finite (n, 2), (m, 2), (n, m) arrays of numbers."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    radio = RadioConfig(**doc["radio"])
-    cells, ues, shadow = (np.asarray(doc[k], dtype=float) for k in ("cells", "ues", "shadow_db"))
+    seed, diameter, radio = doc["seed"], doc["hex_diameter_m"], doc["radio"]
+    if type(seed) is not int:
+        raise ValueError(f"{path}: seed must be an integer, got {seed!r}")
+    if not (is_number(diameter) and 0 < diameter < math.inf):
+        raise ValueError(f"{path}: hex_diameter_m must be a finite number > 0, got {diameter!r}")
+    keys = {f.name for f in fields(RadioConfig)}
+    if not (isinstance(radio, dict) and radio.keys() <= keys):
+        raise ValueError(f"{path}: radio must be an object with keys among {sorted(keys)}, "
+                         f"got {radio!r}")
+    radio = RadioConfig(**radio)
+    cells, ues, shadow = (number_array(doc[k], f"{path}: {k}") for k in ("cells", "ues", "shadow_db"))
     if (cells.shape[1:] != (2,) or ues.shape[1:] != (2,)
             or shadow.shape != (len(cells), len(ues))
             or not all(np.isfinite(a).all() for a in (cells, ues, shadow))):
         raise ValueError(f"{path}: cells, ues and shadow_db must be finite (n, 2), (m, 2) "
                          f"and (n, m) arrays, got {cells.shape}, {ues.shape}, {shadow.shape}")
-    return Deployment(seed=int(doc["seed"]), hex_diameter_m=float(doc["hex_diameter_m"]),
+    return Deployment(seed=seed, hex_diameter_m=float(diameter),
                       radio=radio, cells=cells, ues=ues, shadow_db=shadow)

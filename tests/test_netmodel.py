@@ -235,15 +235,43 @@ def test_radio_values_the_model_cannot_use_rejected(tmp_path):
     for bad in (2.0, True, "4"):  # a report holds a whole number of cells
         with pytest.raises(ValueError, match="report_set_size"):
             RadioConfig(report_set_size=bad)
+    for bad in (True, "33"):  # a bool or a string is not a power, even where float() takes it
+        with pytest.raises(ValueError, match=f"tx_power_dbm={bad!r}"):
+            RadioConfig(tx_power_dbm=bad)
     RadioConfig(shadow_sigma_db=0.0)  # no shadowing is fine
     path = tmp_path / "dep.json"
     save_deployment(generate_deployment(42, 3, 4), str(path))
     doc = json.loads(path.read_text(encoding="utf-8"))
     for key, bad, match in [("bandwidth_mhz", -1, "bandwidth_mhz=-1"),  # log10 in noise_dbm
                             ("report_set_size", 2.0, "report_set_size"),  # a slice bound
-                            ("report_set_size", True, "report_set_size")]:
+                            ("report_set_size", True, "report_set_size"),
+                            ("tx_power_dbm", True, "tx_power_dbm=True"),
+                            ("tx_power_dbm", "33", "tx_power_dbm='33'"),  # was a TypeError
+                            ("power_dbm", 33.0, "radio must be an object with keys")]:
         path.write_text(json.dumps(dict(doc, radio=dict(doc["radio"], **{key: bad}))),
                         encoding="utf-8")
+        with pytest.raises(ValueError, match=match):
+            load_deployment(str(path))
+
+
+def test_deployment_file_values_are_not_coerced(tmp_path):
+    path = tmp_path / "dep.json"
+    save_deployment(generate_deployment(42, 3, 4), str(path))
+    good = json.loads(path.read_text(encoding="utf-8"))
+
+    def with_entry(key, value):  # the file with one entry of an array replaced
+        rows = [row[:] for row in good[key]]
+        rows[0][1] = value
+        return rows
+
+    cases = [("seed", True, "seed"), ("seed", 2.7, "seed"), ("seed", "42", "seed"),
+             ("hex_diameter_m", True, "hex_diameter_m"), ("hex_diameter_m", math.nan, "hex_diameter_m"),
+             ("hex_diameter_m", -5, "hex_diameter_m"), ("hex_diameter_m", "500", "hex_diameter_m"),
+             ("radio", [], "radio must be an object")]
+    cases += [(key, with_entry(key, bad), "numbers")
+              for key in ("cells", "ues", "shadow_db") for bad in (True, "1.5")]
+    for key, bad, match in cases:
+        path.write_text(json.dumps(dict(good, **{key: bad})), encoding="utf-8")
         with pytest.raises(ValueError, match=match):
             load_deployment(str(path))
 
