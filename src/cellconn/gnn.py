@@ -21,6 +21,7 @@ import numpy as np
 
 from cellconn.graph import (DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph, NodeFeatures, connect,
                             input_features, ue_adjacency)
+from cellconn.netmodel import is_number, number_array
 
 MODEL_FORMAT_VERSION = 2  # version 1 files carry no threshold and load with the default
 
@@ -190,27 +191,32 @@ def load_model(path: str) -> GnnParams:
     """Load a model file written by ``save_model``, of format 1 or 2.
 
     Raises:
-        ValueError: unknown format version, layers or width below 1,
-            inconsistent shapes, non-finite weights or a NaN threshold.
+        ValueError: unknown format version, layers or width not an integer
+            >= 1, a threshold that is not a number or is NaN, weight lists or
+            matrices of the wrong length or shape, or weights that are not
+            finite numbers.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
     if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format_version {version!r}")
-    n_layers, width = int(doc["layers"]), int(doc["width"])
-    rounds = [[np.asarray(w, dtype=float) for w in doc[k]] for k in ("w1", "w2", "w3")]
-    w4 = np.asarray(doc["w4"], dtype=float)
-    w5 = np.asarray(doc["w5"], dtype=float)
-    expected = [(2 if i == 0 else width, width) for i in range(n_layers)]
-    for mats in rounds:
-        if [m.shape for m in mats] != expected:
-            raise ValueError(f"model file shapes do not match layers={n_layers} width={width}")
-    if w4.shape != (width, width) or w5.shape != (width,):
-        raise ValueError("model file readout shapes do not match declared width")
-    flat = [m.ravel() for mats in rounds for m in mats]
-    vec = np.concatenate([*flat, w4.ravel(), w5])
-    threshold = DEFAULT_EDGE_THRESHOLD_DB if version == 1 else float(doc["edge_threshold_db"])
-    if not np.isfinite(vec).all() or math.isnan(threshold):
-        raise ValueError("model file weights must be finite and its threshold not NaN")
-    return GnnParams(n_layers, width, vec, threshold)
+    n_layers, width = doc["layers"], doc["width"]
+    if type(n_layers) is not int or type(width) is not int:
+        raise ValueError(f"model file layers and width must be integers, got {n_layers!r}/{width!r}")
+    threshold = DEFAULT_EDGE_THRESHOLD_DB if version == 1 else doc["edge_threshold_db"]
+    if not is_number(threshold) or math.isnan(threshold):
+        raise ValueError(f"model file threshold must be a number and not NaN, got {threshold!r}")
+    p = GnnParams(n_layers, width, edge_threshold_db=float(threshold))
+    rounds = [doc[k] for k in ("w1", "w2", "w3")]
+    mismatch = ValueError(f"model file shapes do not match layers={n_layers} width={width}")
+    if any(not isinstance(mats, list) or len(mats) != n_layers for mats in rounds):
+        raise mismatch
+    for slot, w in zip(p.arrays, [*rounds[0], *rounds[1], *rounds[2], doc["w4"], doc["w5"]]):
+        w = number_array(w, "model file weights")
+        if w.shape != slot.shape:
+            raise mismatch
+        slot[...] = w
+    if not np.isfinite(p.vec).all():
+        raise ValueError("model file weights must be finite")
+    return p

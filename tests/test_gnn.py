@@ -336,6 +336,39 @@ def test_model_bad_version_errors(tmp_path):
             load_model(str(path))
 
 
+def test_model_values_are_not_coerced(tmp_path):
+    path = tmp_path / "model.json"
+    docs = {}
+    for n_layers in (1, 2):  # layers=true passes for 1 as a count, 2.7 for 2
+        save_model(init_params(0, n_layers, 8, 0.01), str(path))
+        docs[n_layers] = json.loads(path.read_text())
+    one, two = docs[1], docs[2]
+    w4_true = [row[:] for row in two["w4"]]
+    w4_true[0][0] = True
+    w1_str = [[row[:] for row in m] for m in two["w1"]]
+    w1_str[1][2][3] = "0.5"
+    cases = [(dict(one, layers=True), "integers"), (dict(two, layers=2.7), "integers"),
+             (dict(two, width="8"), "integers"),
+             (dict(two, edge_threshold_db=True), "threshold"),
+             (dict(two, edge_threshold_db="0"), "threshold"),
+             (dict(two, w4=w4_true), "numbers"), (dict(two, w1=w1_str), "numbers")]
+    for doc, match in cases:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            load_model(str(path))
+
+
+def test_model_misaligned_round_lists_error(tmp_path):
+    # at width 2 every round matrix is (2, 2): only the per-list counts tell
+    # a w1 with three rounds and a w2 with one from a valid layout
+    path = tmp_path / "model.json"
+    save_model(init_params(0, 2, 2, 0.01), str(path))
+    good = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(good, w1=good["w1"] + good["w2"][:1], w2=good["w2"][1:])))
+    with pytest.raises(ValueError, match="shapes"):
+        load_model(str(path))
+
+
 def test_model_without_layers_errors(tmp_path):
     # forward would index an empty round list on the first request
     import json
