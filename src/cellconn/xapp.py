@@ -26,7 +26,7 @@ import numpy as np
 from cellconn.dqn import EpisodeState, greedy_rollout
 from cellconn.gnn import GnnParams, load_model
 from cellconn.graph import UNASSIGNED, ConnectionGraph, build_cell_graph, initial_graph
-from cellconn.netmodel import Deployment, MeasurementReport, load_deployment
+from cellconn.netmodel import Deployment, MeasurementReport, is_number, load_deployment
 
 __all__ = [
     "SubGraph", "extract_subgraph", "handle_event",
@@ -142,15 +142,14 @@ def _parse_request(line: str, n_cells: int, n_ues: int) -> MeasurementReport:
         raise ValueError("rsrp_dbm must be a non-empty object of cell -> dBm")
     rsrp: dict[int, float] = {}
     for key, val in raw.items():
-        try:
-            cell = int(key)
-        except (TypeError, ValueError):
-            raise ValueError(f"bad cell id {key!r} in rsrp_dbm") from None
+        if not (key.isascii() and key.isdigit()):  # int() also takes "1_0", " 3", "+2", "٣"
+            raise ValueError(f"bad cell id {key!r} in rsrp_dbm")
+        cell = int(key)
         if not 0 <= cell < n_cells:
             raise ValueError(f"cell id {cell} out of range [0, {n_cells})")
         if cell in rsrp:
             raise ValueError(f"cell {cell} named twice in rsrp_dbm")
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
+        if not is_number(val):
             raise ValueError(f"RSRP for cell {cell} must be a number, got {val!r}")
         try:
             dbm = float(val)
