@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, asdict, astuple
 
 import numpy as np
@@ -26,8 +27,10 @@ class PlacementError(RuntimeError):
 
 
 def is_number(x) -> bool:
-    """True for an int or a float, but not a bool (JSON's ``true`` loads as an int)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """True for a float, or an int that is not a bool (JSON's ``true`` loads as
+    one) and that ``float`` converts without overflow."""
+    return isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool)
+                                    and abs(x) <= sys.float_info.max)
 
 
 def number_array(x, what: str) -> np.ndarray:

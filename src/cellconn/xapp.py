@@ -149,15 +149,9 @@ def _parse_request(line: str, n_cells: int, n_ues: int) -> MeasurementReport:
             raise ValueError(f"cell id {cell} out of range [0, {n_cells})")
         if cell in rsrp:
             raise ValueError(f"cell {cell} named twice in rsrp_dbm")
-        if not is_number(val):
-            raise ValueError(f"RSRP for cell {cell} must be a number, got {val!r}")
-        try:
-            dbm = float(val)
-        except OverflowError:  # an integer beyond the float range
-            dbm = math.inf
-        if not math.isfinite(dbm):
-            raise ValueError(f"RSRP for cell {cell} must be finite")
-        rsrp[cell] = dbm
+        if not (is_number(val) and math.isfinite(val)):
+            raise ValueError(f"RSRP for cell {cell} must be a finite number, got {val!r}")
+        rsrp[cell] = float(val)
     entries = sorted(rsrp.items(), key=lambda cv: (-cv[1], cv[0]))
     return MeasurementReport(ue=ue, cells=tuple(c for c, _ in entries),
                              rsrp_dbm=tuple(v for _, v in entries))

@@ -324,6 +324,13 @@ def test_model_wrong_matrix_count_errors(tmp_path):
         path.write_text(json.dumps(dict(good, w1=w1)))
         with pytest.raises(ValueError, match="shapes"):
             load_model(str(path))
+    # at width 2 every round matrix is (2, 2): only the per-list counts tell a
+    # w1 with three rounds and a w2 with one from a valid layout
+    save_model(init_params(0, 2, 2, 0.01), str(path))
+    good = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(good, w1=good["w1"] + good["w2"][:1], w2=good["w2"][1:])))
+    with pytest.raises(ValueError, match="shapes"):
+        load_model(str(path))
 
 
 def test_model_bad_version_errors(tmp_path):
@@ -347,26 +354,17 @@ def test_model_values_are_not_coerced(tmp_path):
     w4_true[0][0] = True
     w1_str = [[row[:] for row in m] for m in two["w1"]]
     w1_str[1][2][3] = "0.5"
+    w5_big = [10 ** 400] + two["w5"][1:]  # an integer beyond the float range
     cases = [(dict(one, layers=True), "integers"), (dict(two, layers=2.7), "integers"),
              (dict(two, width="8"), "integers"),
              (dict(two, edge_threshold_db=True), "threshold"),
              (dict(two, edge_threshold_db="0"), "threshold"),
-             (dict(two, w4=w4_true), "numbers"), (dict(two, w1=w1_str), "numbers")]
+             (dict(two, w4=w4_true), "numbers"), (dict(two, w1=w1_str), "numbers"),
+             (dict(two, w5=w5_big), "numbers")]
     for doc, match in cases:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=match):
             load_model(str(path))
-
-
-def test_model_misaligned_round_lists_error(tmp_path):
-    # at width 2 every round matrix is (2, 2): only the per-list counts tell
-    # a w1 with three rounds and a w2 with one from a valid layout
-    path = tmp_path / "model.json"
-    save_model(init_params(0, 2, 2, 0.01), str(path))
-    good = json.loads(path.read_text())
-    path.write_text(json.dumps(dict(good, w1=good["w1"] + good["w2"][:1], w2=good["w2"][1:])))
-    with pytest.raises(ValueError, match="shapes"):
-        load_model(str(path))
 
 
 def test_model_without_layers_errors(tmp_path):

@@ -247,6 +247,7 @@ def test_radio_values_the_model_cannot_use_rejected(tmp_path):
                             ("report_set_size", True, "report_set_size"),
                             ("tx_power_dbm", True, "tx_power_dbm=True"),
                             ("tx_power_dbm", "33", "tx_power_dbm='33'"),  # was a TypeError
+                            ("tx_power_dbm", 10 ** 400, "radio values must be finite numbers"),
                             ("power_dbm", 33.0, "radio must be an object with keys")]:
         path.write_text(json.dumps(dict(doc, radio=dict(doc["radio"], **{key: bad}))),
                         encoding="utf-8")
@@ -267,9 +268,10 @@ def test_deployment_file_values_are_not_coerced(tmp_path):
     cases = [("seed", True, "seed"), ("seed", 2.7, "seed"), ("seed", "42", "seed"),
              ("hex_diameter_m", True, "hex_diameter_m"), ("hex_diameter_m", math.nan, "hex_diameter_m"),
              ("hex_diameter_m", -5, "hex_diameter_m"), ("hex_diameter_m", "500", "hex_diameter_m"),
+             ("hex_diameter_m", 10 ** 400, "hex_diameter_m"),  # beyond the float range
              ("radio", [], "radio must be an object")]
     cases += [(key, with_entry(key, bad), "numbers")
-              for key in ("cells", "ues", "shadow_db") for bad in (True, "1.5")]
+              for key in ("cells", "ues", "shadow_db") for bad in (True, "1.5", 10 ** 400)]
     for key, bad, match in cases:
         path.write_text(json.dumps(dict(good, **{key: bad})), encoding="utf-8")
         with pytest.raises(ValueError, match=match):
