@@ -142,9 +142,12 @@ def _parse_request(line: str, n_cells: int, n_ues: int) -> MeasurementReport:
         raise ValueError("rsrp_dbm must be a non-empty object of cell -> dBm")
     rsrp: dict[int, float] = {}
     for key, val in raw.items():
-        if not (key.isascii() and key.isdigit()):  # int() also takes "1_0", " 3", "+2", "٣"
+        try:  # ASCII digits only: int() also takes "1_0", " 3", "+2" and "٣"
+            cell = int(key) if key.isascii() and key.isdigit() else -1
+        except ValueError:  # more digits than int() converts
+            cell = -1
+        if cell < 0:
             raise ValueError(f"bad cell id {key!r} in rsrp_dbm")
-        cell = int(key)
         if not 0 <= cell < n_cells:
             raise ValueError(f"cell id {cell} out of range [0, {n_cells})")
         if cell in rsrp:

@@ -325,8 +325,9 @@ def test_serve_stream_validation_errors():
         '{"type": "handover", "ue": 1, "ue": 2, "rsrp_dbm": {"0": -60}}',    # key twice
     ])
     assert all("error" in r for r in replies)
-    # int() would read each of these keys as a cell of a 12-cell deployment
-    keys = ["1_0", " 3", "+2", "-0", "\u0663"]
+    # int() would read each of the first five keys as a cell of a 12-cell
+    # deployment, and refuses the last with a message about its digit limit
+    keys = ["1_0", " 3", "+2", "-0", "\u0663", "1" * 5000]
     replies = run_lines([mk(type="handover", ue=0, rsrp_dbm={k: -60}) for k in keys + ["01"]],
                         dep=generate_deployment(41, 12, 20))
     assert [r.get("error") for r in replies[:-1]] == [f"bad cell id {k!r} in rsrp_dbm" for k in keys]
