@@ -13,15 +13,16 @@ ReLU'(0) is taken as 0.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from cellconn.graph import (DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph, NodeFeatures, connect,
-                            input_features, ue_adjacency)
-from cellconn.netmodel import is_number, number_array
+from cellconn.graph import (DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph, NodeFeatures,
+                            _features_with_parts, connect, input_features, ue_adjacency)
+from cellconn.netmodel import is_number, number_array, read_json_object
 
 MODEL_FORMAT_VERSION = 2  # version 1 files carry no threshold and load with the default
 
@@ -95,7 +96,7 @@ class ForwardTrace:
     """Everything ``backward`` needs: one ``Round`` per layer and the readout."""
 
     a_cl: np.ndarray
-    a_ue: np.ndarray
+    a_ue: np.ndarray | None  # None with one layer, which reads no UE adjacency
     rounds: list[Round] = field(default_factory=list)
     pooled: np.ndarray | None = None
     z: np.ndarray | None = None
@@ -112,7 +113,7 @@ def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures) -> ForwardTra
     The score reads only the last round's h_cl, so the last round computes no
     h_ue, and the round before it no xu'.
     """
-    t = ForwardTrace(a_cl=g.cell_adj, a_ue=ue_adjacency(g))
+    t = ForwardTrace(a_cl=g.cell_adj, a_ue=ue_adjacency(g) if p.n_layers > 1 else None)
     x1, x2, xu = feats.cell_rate, feats.cell_cap, feats.ue
     for layer in range(p.n_layers):
         r = Round(x1, x2, x1 @ p.w1[layer], x2 @ p.w2[layer])
@@ -165,8 +166,44 @@ def score_action(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
 
 def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
                   actions: list[tuple[int, int]]) -> np.ndarray:
-    """Q-values of the (cell, ue) actions, in their order."""
-    return np.array([score_action(p, g, cap, cell, ue) for cell, ue in actions])
+    """Q-values of the (cell, ue) actions, in their order: bit for bit the
+    ``score_action`` of each.
+
+    Attaching u to c changes only u's rate, the rates of c's UEs and c's
+    served throughput, so each candidate's features are ``g``'s with those
+    entries patched.  What a candidate cell's attaches share is built once for
+    all of them, and c's throughput is summed in ascending UE order, as
+    ``input_features`` sums it.
+    """
+    base, per_cell, scale = _features_with_parts(g, cap)
+    loads = g.loads()
+    by_cell = {}  # cell -> its UEs, their rates and its UE rows after one more attach, its load
+    scores = np.empty(len(actions))
+    for k, (cell, ue) in enumerate(actions):
+        g_next = connect(g, cell, ue)
+        if cell not in by_cell:
+            members = np.flatnonzero(g.assign == cell)
+            rates = cap[cell, members] / (loads[cell] + 1)
+            ue_rows = base.ue.copy()
+            ue_rows[members, 1] = rates / scale
+            by_cell[cell] = members.tolist(), rates.tolist(), ue_rows, loads[cell] + 1
+        members, rates, ue_rows, load = by_cell[cell]
+        rate = cap[cell, ue] / load
+        at = bisect.bisect(members, ue)
+        served = 0.0
+        for r in (*rates[:at], rate, *rates[at:]):
+            served += r
+        cell_tput = per_cell.copy()
+        cell_tput[cell] = served
+        cell_rate = base.cell_rate.copy()
+        cell_rate[:, 0] = (g.cell_adj @ cell_tput) / scale
+        cell_rate[cell, 1] = served / scale
+        cell_cap = base.cell_cap.copy()
+        cell_cap[cell, 0] = served / scale
+        ue_feats = ue_rows.copy()
+        ue_feats[ue, 1] = rate / scale
+        scores[k] = forward(p, g_next, NodeFeatures(cell_rate, cell_cap, ue_feats)).score
+    return scores
 
 
 def save_model(p: GnnParams, path: str) -> None:
@@ -191,22 +228,22 @@ def load_model(path: str) -> GnnParams:
     """Load a model file written by ``save_model``, of format 1 or 2.
 
     Raises:
-        ValueError: unknown format version, layers or width not an integer
-            >= 1, a threshold that is not a number or is NaN, weight lists or
-            matrices of the wrong length or shape, or weights that are not
-            finite numbers.
+        ValueError: a top level that is not an object or lacks a key, unknown
+            format version, layers or width not an integer >= 1, a threshold
+            that is not a number or is NaN, weight lists or matrices of the
+            wrong length or shape, or weights that are not finite numbers.
     """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json_object(path, ("layers", "width", "w1", "w2", "w3", "w4", "w5"))
     version = doc.get("format_version")
     if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
         raise ValueError(f"unsupported model format_version {version!r}")
     n_layers, width = doc["layers"], doc["width"]
     if type(n_layers) is not int or type(width) is not int:
         raise ValueError(f"model file layers and width must be integers, got {n_layers!r}/{width!r}")
-    threshold = DEFAULT_EDGE_THRESHOLD_DB if version == 1 else doc["edge_threshold_db"]
+    threshold = DEFAULT_EDGE_THRESHOLD_DB if version == 1 else doc.get("edge_threshold_db")
     if not is_number(threshold) or math.isnan(threshold):
-        raise ValueError(f"model file threshold must be a number and not NaN, got {threshold!r}")
+        raise ValueError(f"model file edge_threshold_db must be a number and not NaN, "
+                         f"got {threshold!r}")
     p = GnnParams(n_layers, width, edge_threshold_db=float(threshold))
     rounds = [doc[k] for k in ("w1", "w2", "w3")]
     mismatch = ValueError(f"model file shapes do not match layers={n_layers} width={width}")

@@ -169,6 +169,14 @@ def input_features(g: ConnectionGraph, cap: np.ndarray) -> NodeFeatures:
     high-rate assignment from a low-rate one.  The same normalization runs at
     training and inference time.
     """
+    return _features_with_parts(g, cap)[0]
+
+
+def _features_with_parts(g: ConnectionGraph, cap: np.ndarray
+                         ) -> tuple[NodeFeatures, np.ndarray, float]:
+    """``input_features`` with two of its raw parts: every cell's served
+    throughput (its UEs' rates added one at a time in ascending UE order, as
+    ``np.bincount`` adds them) and the normalizing scale."""
     per_ue = ue_rates(g, cap)
     served = g.assigned_ues()
     per_cell = np.bincount(g.assign[served], weights=per_ue[served],
@@ -180,4 +188,4 @@ def input_features(g: ConnectionGraph, cap: np.ndarray) -> NodeFeatures:
     ue = np.stack([cap.sum(axis=0), per_ue], axis=1)
     return NodeFeatures(cell_rate=cell_rate / scale,
                         cell_cap=cell_cap / scale,
-                        ue=ue / scale)
+                        ue=ue / scale), per_cell, scale

@@ -33,6 +33,19 @@ def is_number(x) -> bool:
                                     and abs(x) <= sys.float_info.max)
 
 
+def read_json_object(path: str, keys: tuple[str, ...]) -> dict:
+    """The JSON object in ``path``; ValueError naming the file unless its top
+    level is an object that holds every one of ``keys``."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the top level must be a JSON object, got {type(doc).__name__}")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValueError(f"{path}: missing key {missing[0]!r}")
+    return doc
+
+
 def number_array(x, what: str) -> np.ndarray:
     """Nested lists of JSON numbers as a float array; ValueError naming ``what`` if any
     entry is a bool, a string or anything else that ``float`` would coerce."""
@@ -271,11 +284,11 @@ def save_deployment(dep: Deployment, path: str) -> None:
 
 
 def load_deployment(path: str) -> Deployment:
-    """Read a file written by ``save_deployment``; raises ValueError unless ``seed`` is an
-    integer, ``hex_diameter_m`` a finite number > 0, ``radio`` an object that ``RadioConfig``
-    takes, and cells, ues, shadow_db finite (n, 2), (m, 2), (n, m) arrays of numbers."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a file written by ``save_deployment``; raises ValueError unless it holds an object
+    with every key that ``save_deployment`` writes, ``seed`` is an integer, ``hex_diameter_m``
+    a finite number > 0, ``radio`` an object that ``RadioConfig`` takes, and cells, ues,
+    shadow_db finite (n, 2), (m, 2), (n, m) arrays of numbers."""
+    doc = read_json_object(path, ("seed", "hex_diameter_m", "radio", "cells", "ues", "shadow_db"))
     seed, diameter, radio = doc["seed"], doc["hex_diameter_m"], doc["radio"]
     if type(seed) is not int:
         raise ValueError(f"{path}: seed must be an integer, got {seed!r}")

@@ -1,5 +1,6 @@
 """Q-network forward/backward, pinned to hand-traced and finite-difference oracles."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -9,8 +10,9 @@ import pytest
 
 from cellconn.gnn import (GnnParams, backward, forward, init_params, load_model,
                           save_model, score_action, score_actions)
-from cellconn.graph import (NodeFeatures, build_cell_graph, capacity_matrix,
-                            connect, input_features)
+from cellconn.graph import (UNASSIGNED, ConnectionGraph, NodeFeatures, build_cell_graph,
+                            capacity_matrix, connect, initial_graph, input_features,
+                            ue_adjacency)
 from cellconn.netmodel import generate_deployment
 
 from conftest import make_graph
@@ -255,6 +257,63 @@ def test_score_action_symmetric_candidates():
                - score_action(p, g, cap, 1, 0)) < 1e-9
 
 
+def emptied_state(n, m):
+    """The initial graph of a fixed deployment with cell 0's UEs detached, so
+    cell 0 serves no UE, and the actions of its measurement reports plus cell 0."""
+    dep = generate_deployment(7, n, m)
+    g, _ = initial_graph(dep)
+    assign = g.assign.copy()
+    assign[assign == 0] = UNASSIGNED
+    return ConnectionGraph(g.cell_adj, assign), dep
+
+
+def report_actions(g, dep):
+    return [(c, int(u)) for u in np.flatnonzero(g.assign == UNASSIGNED)
+            for c in sorted({0, *dep.report_cells[u].tolist()})]
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("n, m", [(6, 30), (20, 200)])
+def test_score_actions_equals_the_score_action_loop_exactly(n, m, n_layers):
+    g, dep = emptied_state(n, m)
+    p = init_params(n_layers, n_layers, 8, 0.5)
+    where = set()  # each candidate UE's place among its cell's UEs
+    for _ in range(4):  # greedy steps
+        actions = report_actions(g, dep)
+        for c, u in actions:
+            members = np.flatnonzero(g.assign == c)
+            where.add("no UE" if len(members) == 0 else "before" if u < members[0]
+                      else "after" if u > members[-1] else "between")
+        got = score_actions(p, g, dep.cap, actions)
+        want = np.array([score_action(p, g, dep.cap, c, u) for c, u in actions])
+        assert got.shape == want.shape and (got == want).all()
+        g = connect(g, *actions[int(np.argmax(got))])
+    assert where == {"no UE", "before", "between", "after"}
+
+
+def test_score_actions_of_no_action_and_of_a_taken_ue():
+    g, dep = emptied_state(6, 30)
+    p = init_params(0, 2, 8, 0.5)
+    assert score_actions(p, g, dep.cap, []).shape == (0,)
+    pending, taken = report_actions(g, dep)[0], (0, int(g.assigned_ues()[0]))
+    for bad, match in ((taken, "already connected"), ((6, pending[1]), "out of range")):
+        with pytest.raises(ValueError, match=match):
+            score_actions(p, g, dep.cap, [pending, bad])
+
+
+def test_one_layer_forward_builds_no_ue_adjacency(rng):
+    # one round reads only the cell rows: neither the score nor a gradient needs A_ue
+    g, cap, feats = random_instance(rng, n=4, m=8)
+    p = random_params(rng, n_layers=1)
+    t = forward(p, g, feats)
+    assert t.a_ue is None
+    relu = lambda x: np.maximum(x, 0.0)
+    h_cl = relu(feats.cell_rate @ p.w1[0]) + relu(feats.cell_cap @ p.w2[0])
+    assert t.score == float(relu(h_cl.sum(axis=0) @ p.w4) @ p.w5)
+    with_adjacency = backward(p, dataclasses.replace(t, a_ue=ue_adjacency(g)))
+    assert np.array_equal(backward(p, t).vec, with_adjacency.vec)
+
+
 def test_model_roundtrip_bitwise(tmp_path, rng):
     p = random_params(rng)
     path = tmp_path / "model.json"
@@ -360,7 +419,10 @@ def test_model_values_are_not_coerced(tmp_path):
              (dict(two, edge_threshold_db=True), "threshold"),
              (dict(two, edge_threshold_db="0"), "threshold"),
              (dict(two, w4=w4_true), "numbers"), (dict(two, w1=w1_str), "numbers"),
-             (dict(two, w5=w5_big), "numbers")]
+             (dict(two, w5=w5_big), "numbers"),
+             ([], "JSON object"),  # the top level must be an object, with every key
+             ({k: v for k, v in two.items() if k != "w4"}, "missing key 'w4'"),
+             ({k: v for k, v in two.items() if k != "edge_threshold_db"}, "edge_threshold_db")]
     for doc, match in cases:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=match):

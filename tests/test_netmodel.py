@@ -272,8 +272,11 @@ def test_deployment_file_values_are_not_coerced(tmp_path):
              ("radio", [], "radio must be an object")]
     cases += [(key, with_entry(key, bad), "numbers")
               for key in ("cells", "ues", "shadow_db") for bad in (True, "1.5", 10 ** 400)]
-    for key, bad, match in cases:
-        path.write_text(json.dumps(dict(good, **{key: bad})), encoding="utf-8")
+    docs = [(dict(good, **{key: bad}), match) for key, bad, match in cases]
+    docs += [([], "JSON object"),  # the top level must be an object, with every key
+             ({k: v for k, v in good.items() if k != "seed"}, "missing key 'seed'")]
+    for doc, match in docs:
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValueError, match=match):
             load_deployment(str(path))
 
