@@ -176,17 +176,17 @@ def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
     ``input_features`` sums it.
     """
     base, per_cell, scale = _features_with_parts(g, cap)
-    loads = g.loads()
-    by_cell = {}  # cell -> its UEs, their rates and its UE rows after one more attach, its load
+    by_cell = {}  # cell -> its UEs, their rates and its UE rows after one more attach, its new load
     scores = np.empty(len(actions))
     for k, (cell, ue) in enumerate(actions):
         g_next = connect(g, cell, ue)
         if cell not in by_cell:
             members = np.flatnonzero(g.assign == cell)
-            rates = cap[cell, members] / (loads[cell] + 1)
+            load = len(members) + 1
+            rates = cap[cell, members] / load
             ue_rows = base.ue.copy()
             ue_rows[members, 1] = rates / scale
-            by_cell[cell] = members.tolist(), rates.tolist(), ue_rows, loads[cell] + 1
+            by_cell[cell] = members.tolist(), rates.tolist(), ue_rows, load
         members, rates, ue_rows, load = by_cell[cell]
         rate = cap[cell, ue] / load
         at = bisect.bisect(members, ue)

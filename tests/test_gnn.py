@@ -258,8 +258,8 @@ def test_score_action_symmetric_candidates():
 
 
 def emptied_state(n, m):
-    """The initial graph of a fixed deployment with cell 0's UEs detached, so
-    cell 0 serves no UE, and the actions of its measurement reports plus cell 0."""
+    """The initial graph of a fixed deployment, with cell 0's UEs detached so
+    that cell 0 serves no UE, and the deployment."""
     dep = generate_deployment(7, n, m)
     g, _ = initial_graph(dep)
     assign = g.assign.copy()
@@ -268,6 +268,7 @@ def emptied_state(n, m):
 
 
 def report_actions(g, dep):
+    """Each pending UE's report cells plus cell 0, ordered by (ue, cell)."""
     return [(c, int(u)) for u in np.flatnonzero(g.assign == UNASSIGNED)
             for c in sorted({0, *dep.report_cells[u].tolist()})]
 
