@@ -180,7 +180,7 @@ def _features_with_parts(g: ConnectionGraph, cap: np.ndarray
     per_ue = ue_rates(g, cap)
     served = g.assigned_ues()
     per_cell = np.bincount(g.assign[served], weights=per_ue[served],
-                           minlength=g.n_cells)
+                           minlength=g.n_cells).astype(float)  # int64 when no UE is served
 
     scale = cap.mean() + FEATURE_NORM_EPS
     cell_rate = np.stack([g.cell_adj @ per_cell, per_cell], axis=1)

@@ -273,11 +273,21 @@ def report_actions(g, dep):
             for c in sorted({0, *dep.report_cells[u].tolist()})]
 
 
+def scores_equal_to_the_loop(p, g, cap, actions):
+    """``score_actions`` of the actions, asserted equal to the ``score_action`` loop."""
+    got = score_actions(p, g, cap, actions)
+    want = np.array([score_action(p, g, cap, c, u) for c, u in actions])
+    assert got.shape == want.shape and (got == want).all()
+    return got
+
+
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
 @pytest.mark.parametrize("n, m", [(6, 30), (20, 200)])
 def test_score_actions_equals_the_score_action_loop_exactly(n, m, n_layers):
     g, dep = emptied_state(n, m)
     p = init_params(n_layers, n_layers, 8, 0.5)
+    no_ue = ConnectionGraph(g.cell_adj, np.full_like(g.assign, UNASSIGNED))  # every UE pending
+    scores_equal_to_the_loop(p, no_ue, dep.cap, report_actions(no_ue, dep)[:60])
     where = set()  # each candidate UE's place among its cell's UEs
     for _ in range(4):  # greedy steps
         actions = report_actions(g, dep)
@@ -285,9 +295,7 @@ def test_score_actions_equals_the_score_action_loop_exactly(n, m, n_layers):
             members = np.flatnonzero(g.assign == c)
             where.add("no UE" if len(members) == 0 else "before" if u < members[0]
                       else "after" if u > members[-1] else "between")
-        got = score_actions(p, g, dep.cap, actions)
-        want = np.array([score_action(p, g, dep.cap, c, u) for c, u in actions])
-        assert got.shape == want.shape and (got == want).all()
+        got = scores_equal_to_the_loop(p, g, dep.cap, actions)
         g = connect(g, *actions[int(np.argmax(got))])
     assert where == {"no UE", "before", "between", "after"}
 
