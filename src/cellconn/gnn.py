@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cellconn.graph import (DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph, NodeFeatures,
-                            _features_with_parts, connect, input_features, ue_adjacency)
+                            _check_attach, _features_with_parts, connect, input_features,
+                            ue_adjacency)
 from cellconn.netmodel import is_number, number_array, read_json_object
 
 MODEL_FORMAT_VERSION = 2  # version 1 files carry no threshold and load with the default
@@ -103,7 +104,8 @@ class ForwardTrace:
     score: float = 0.0
 
 
-def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures) -> ForwardTrace:
+def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
+            a_ue: np.ndarray | None = None) -> ForwardTrace:
     """Run the message-passing rounds and the readout head.
 
     Per round l (inputs x1, x2 over cells, xu over UEs):
@@ -111,9 +113,10 @@ def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures) -> ForwardTra
         h_ue = relu(xu w3[l]) ; x2' = A_ue h_ue ; xu' = A_ue^T h_cl
     Readout: score = relu(sum_rows(h_cl) w4) . w5
     The score reads only the last round's h_cl, so the last round computes no
-    h_ue, and the round before it no xu'.
+    h_ue, and the round before it no xu'.  A_ue is ``a_ue``, or ``ue_adjacency(g)``.
     """
-    t = ForwardTrace(a_cl=g.cell_adj, a_ue=ue_adjacency(g) if p.n_layers > 1 else None)
+    t = ForwardTrace(a_cl=g.cell_adj, a_ue=None if p.n_layers == 1
+                     else ue_adjacency(g) if a_ue is None else a_ue)
     x1, x2, xu = feats.cell_rate, feats.cell_cap, feats.ue
     for layer in range(p.n_layers):
         r = Round(x1, x2, x1 @ p.w1[layer], x2 @ p.w2[layer])
@@ -167,42 +170,44 @@ def score_action(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
 def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
                   actions: list[tuple[int, int]]) -> np.ndarray:
     """Q-values of the (cell, ue) actions, in their order: bit for bit the
-    ``score_action`` of each.
-
-    Attaching u to c changes only u's rate, the rates of c's UEs and c's
-    served throughput, so each candidate's features are ``g``'s with those
-    entries patched.  What a candidate cell's attaches share is built once for
-    all of them, and c's throughput is summed in ascending UE order, as
-    ``input_features`` sums it.
+    ``score_action`` of each, with every action checked as ``connect`` checks
+    it first.  A candidate changes only u's rate, c's UEs' rates, c's served
+    throughput (summed in ascending UE order, as ``input_features`` sums it)
+    and the adjacency entry (c, u), so each runs ``forward`` on one copy of
+    ``g``'s features and adjacency with those entries patched, then reset.
     """
-    base, per_cell, scale = _features_with_parts(g, cap)
-    by_cell = {}  # cell -> its UEs, their rates and its UE rows after one more attach, its new load
-    scores = np.empty(len(actions))
+    by_cell = {}  # cell -> [(index in actions, ue)]
     for k, (cell, ue) in enumerate(actions):
-        g_next = connect(g, cell, ue)
-        if cell not in by_cell:
-            members = np.flatnonzero(g.assign == cell)
-            load = len(members) + 1
-            rates = cap[cell, members] / load
-            ue_rows = base.ue.copy()
-            ue_rows[members, 1] = rates / scale
-            by_cell[cell] = members.tolist(), rates.tolist(), ue_rows, load
-        members, rates, ue_rows, load = by_cell[cell]
-        rate = cap[cell, ue] / load
-        at = bisect.bisect(members, ue)
-        served = 0.0
-        for r in (*rates[:at], rate, *rates[at:]):
-            served += r
-        cell_tput = per_cell.copy()
-        cell_tput[cell] = served
-        cell_rate = base.cell_rate.copy()
-        cell_rate[:, 0] = (g.cell_adj @ cell_tput) / scale
-        cell_rate[cell, 1] = served / scale
-        cell_cap = base.cell_cap.copy()
-        cell_cap[cell, 0] = served / scale
-        ue_feats = ue_rows.copy()
-        ue_feats[ue, 1] = rate / scale
-        scores[k] = forward(p, g_next, NodeFeatures(cell_rate, cell_cap, ue_feats)).score
+        _check_attach(g, cell, ue)
+        by_cell.setdefault(cell, []).append((k, ue))
+    base, per_cell, scale = _features_with_parts(g, cap)
+    cell_rate, cell_cap, ue_feats = base.cell_rate.copy(), base.cell_cap.copy(), base.ue.copy()
+    feats, cell_tput = NodeFeatures(cell_rate, cell_cap, ue_feats), per_cell.copy()
+    a_ue = ue_adjacency(g) if p.n_layers > 1 else None
+    scores = np.empty(len(actions))
+    for cell, group in by_cell.items():
+        idx = np.flatnonzero(g.assign == cell)
+        load = len(idx) + 1
+        rates = cap[cell, idx] / load
+        ue_feats[idx, 1], members, rates = rates / scale, idx.tolist(), rates.tolist()
+        for k, ue in group:
+            rate = cap[cell, ue] / load
+            at = bisect.bisect(members, ue)
+            served = 0.0
+            for r in (*rates[:at], rate, *rates[at:]):
+                served += r
+            cell_tput[cell] = served
+            cell_rate[:, 0] = (g.cell_adj @ cell_tput) / scale
+            cell_rate[:, 1] = cell_cap[:, 0] = cell_tput / scale
+            ue_feats[ue, 1] = rate / scale
+            if a_ue is not None:
+                a_ue[cell, ue] = 1.0
+            scores[k] = forward(p, g, feats, a_ue).score
+            if a_ue is not None:
+                a_ue[cell, ue] = 0.0
+            ue_feats[ue, 1] = base.ue[ue, 1]
+        ue_feats[idx, 1] = base.ue[idx, 1]
+        cell_tput[cell] = per_cell[cell]
     return scores
 
 

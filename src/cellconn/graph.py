@@ -62,18 +62,23 @@ class ConnectionGraph:
         return np.nonzero(self.assign != UNASSIGNED)[0]
 
 
-def connect(g: ConnectionGraph, cell: int, ue: int) -> ConnectionGraph:
-    """Attach an unassigned UE to a cell, returning the new graph.
-
-    Raises:
-        ValueError: index out of range, or the UE is already connected.
-    """
+def _check_attach(g: ConnectionGraph, cell: int, ue: int) -> None:
+    """Raise ValueError unless ``ue`` is an unassigned UE of ``g`` and ``cell`` one of its cells."""
     if not 0 <= cell < g.n_cells:
         raise ValueError(f"cell index {cell} out of range [0, {g.n_cells})")
     if not 0 <= ue < g.n_ues:
         raise ValueError(f"UE index {ue} out of range [0, {g.n_ues})")
     if g.assign[ue] != UNASSIGNED:
         raise ValueError(f"UE {ue} already connected to cell {g.assign[ue]}")
+
+
+def connect(g: ConnectionGraph, cell: int, ue: int) -> ConnectionGraph:
+    """Attach an unassigned UE to a cell, returning the new graph.
+
+    Raises:
+        ValueError: index out of range, or the UE is already connected.
+    """
+    _check_attach(g, cell, ue)
     assign = g.assign.copy()
     assign[ue] = cell
     return replace(g, assign=assign)

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cellconn.gnn as gnn
 from cellconn.gnn import (GnnParams, backward, forward, init_params, load_model,
                           save_model, score_action, score_actions)
 from cellconn.graph import (UNASSIGNED, ConnectionGraph, NodeFeatures, build_cell_graph,
@@ -308,6 +311,95 @@ def test_score_actions_of_no_action_and_of_a_taken_ue():
     for bad, match in ((taken, "already connected"), ((6, pending[1]), "out of range")):
         with pytest.raises(ValueError, match=match):
             score_actions(p, g, dep.cap, [pending, bad])
+
+
+@pytest.mark.parametrize("where", [0, 5, -1])
+@pytest.mark.parametrize("cell, ue, match", [(-1, "pending", "cell index -1 out of range"),
+                                             (0, -1, "UE index -1 out of range"),
+                                             (6, "pending", "cell index 6 out of range"),
+                                             (0, 30, "UE index 30 out of range"),
+                                             (0, "taken", "already connected")])
+def test_score_actions_checks_every_action_before_scoring_any(monkeypatch, cell, ue, match,
+                                                              where):
+    # a -1 index would wrap to the last row of a patched array instead of raising
+    g, dep = emptied_state(6, 30)
+    actions = report_actions(g, dep)[:12]
+    ue = {"pending": actions[0][1], "taken": int(g.assigned_ues()[0])}.get(ue, ue)
+    actions.insert(where % (len(actions) + 1), (cell, ue))
+    forwards = []
+    monkeypatch.setattr(gnn, "forward", lambda *a, **k: forwards.append(a))
+    with pytest.raises(ValueError, match=match):
+        score_actions(init_params(0, 2, 8, 0.5), g, dep.cap, actions)
+    with pytest.raises(ValueError, match=match):
+        connect(g, cell, ue)
+    assert forwards == []
+
+
+def test_score_actions_of_repeated_actions_and_ues_equal_the_loop():
+    g, dep = emptied_state(6, 30)
+    actions = report_actions(g, dep)
+    u = actions[0][1]
+    repeated = [actions[3], *((c, u) for c in range(6)), actions[3], (2, u), actions[0]]
+    for n_layers in (1, 2, 3):
+        scores_equal_to_the_loop(init_params(n_layers, n_layers, 8, 0.5), g, dep.cap, repeated)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_score_actions_leaves_its_inputs_unchanged(n_layers):
+    g, dep = emptied_state(6, 30)
+    assign, cell_adj, cap = g.assign.copy(), g.cell_adj.copy(), dep.cap.copy()
+    p = init_params(3, n_layers, 8, 0.5)
+    first = score_actions(p, g, dep.cap, report_actions(g, dep))
+    for got, kept in ((g.assign, assign), (g.cell_adj, cell_adj), (dep.cap, cap)):
+        assert got.dtype == kept.dtype and got.tobytes() == kept.tobytes()
+    assert np.array_equal(score_actions(p, g, dep.cap, report_actions(g, dep)), first)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_score_actions_runs_forward_on_each_candidates_own_inputs(monkeypatch, n_layers):
+    # forward reads, bit for bit, what score_action builds for each candidate (in any order)
+    g, dep = emptied_state(6, 30)
+    actions = report_actions(g, dep)
+
+    def inputs(feats, a_ue):
+        return (*(f.tobytes() for f in dataclasses.astuple(feats)),
+                None if a_ue is None else a_ue.tobytes())
+
+    seen = []
+
+    def recording(p, g_in, feats, a_ue=None):
+        assert g_in.cell_adj is g.cell_adj
+        seen.append(inputs(feats, a_ue))
+        return forward(p, g_in, feats, a_ue)
+
+    monkeypatch.setattr(gnn, "forward", recording)
+    score_actions(init_params(0, n_layers, 8, 0.5), g, dep.cap, actions)
+    want = [inputs(input_features(g_next, dep.cap), ue_adjacency(g_next) if n_layers > 1 else None)
+            for g_next in (connect(g, c, u) for c, u in actions)]
+    assert sorted(seen, key=repr) == sorted(want, key=repr)
+
+
+@st.composite
+def scored_states(draw):
+    """A random deployment of 2-6 cells and 4-30 UEs with a random partial
+    assignment (every UE pending in some), and its actions in random order."""
+    n, m = draw(st.integers(2, 6)), draw(st.integers(4, 30))
+    dep = generate_deployment(draw(st.integers(0, 2**32 - 1)), n, m)
+    assign = np.array(draw(st.lists(st.integers(UNASSIGNED, n - 1), min_size=m, max_size=m)))
+    pending = draw(st.booleans())
+    assign[draw(st.integers(0, m - 1))] = UNASSIGNED
+    if pending:
+        assign[:] = UNASSIGNED
+    g = ConnectionGraph(build_cell_graph(dep), assign)
+    pairs = [(c, int(u)) for u in np.flatnonzero(assign == UNASSIGNED) for c in range(n)]
+    return g, dep.cap, draw(st.permutations(pairs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=scored_states(), n_layers=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_score_actions_equals_the_loop_on_random_states(state, n_layers, seed):
+    g, cap, actions = state
+    scores_equal_to_the_loop(init_params(seed, n_layers, 8, 0.5), g, cap, actions)
 
 
 def test_one_layer_forward_builds_no_ue_adjacency(rng):
