@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from cellconn.dqn import (DivergenceError, EpisodeState, ReplayBuffer,
+from cellconn.dqn import (REWARD_KINDS, DivergenceError, EpisodeState, ReplayBuffer,
                           TrainConfig, Transition, best_action,
                           deployment_state, greedy_rollout, legal_actions,
                           run_episode, select_action, sgd_step, td_target,
                           train)
 from cellconn.gnn import GnnParams, init_params, score_action
 from cellconn.graph import DEFAULT_D_MAX_M, connect, initial_graph
-from cellconn.metrics import sum_throughput
+from cellconn.metrics import fair_bonus, sum_throughput
 from cellconn.netmodel import generate_deployment
 
 from conftest import make_graph
@@ -348,6 +350,29 @@ def test_run_episode_telescoping_throughput_return():
         assert final.assigned_ues().size == n_pending
         assert ep_return == pytest.approx(
             sum_throughput(final, state.cap) - u0, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), m=st.integers(4, 20),
+       kind=st.sampled_from(REWARD_KINDS), threshold=st.sampled_from([3.0, math.inf]),
+       epsilon=st.sampled_from([0.0, 0.5, 1.0]))
+def test_episode_return_telescopes_on_random_deployments(seed, n, m, kind, threshold, epsilon):
+    """With gamma = 1 the return is the final throughput minus the initial one,
+    plus, for the fair reward, the bonus of every state an action reached.
+    Tolerance: 1e-12 of max(1, |that sum|)."""
+    dep = generate_deployment(seed, n, m)
+    cfg = TrainConfig(reward_kind=kind, gamma=1.0, edge_threshold_db=threshold,
+                      buffer_size=m + 1, batch_size=m + 1)  # the buffer never fills: no update
+    state = deployment_state(dep, cfg)
+    buffer = ReplayBuffer(cfg.buffer_size)
+    _, ep_return, losses, final = run_episode(init_params(seed, 2, 8, 0.3), cfg, state, buffer,
+                                              np.random.default_rng(seed), epsilon)
+    assert losses == [] and len(buffer) == len(state.unassigned)
+    reached = [t.next_state.graph for t in buffer.sample(len(buffer), np.random.default_rng(0))]
+    bonuses = math.fsum(fair_bonus(g, dep.cap, cfg.lambda_fair) for g in reached)
+    want = sum_throughput(final, dep.cap) - sum_throughput(state.graph, dep.cap) \
+        + (bonuses if kind == "fair" else 0.0)
+    assert abs(ep_return - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_run_episode_assigns_every_pending_ue():
