@@ -386,9 +386,9 @@ def scored_states(draw):
     n, m = draw(st.integers(2, 6)), draw(st.integers(4, 30))
     dep = generate_deployment(draw(st.integers(0, 2**32 - 1)), n, m)
     assign = np.array(draw(st.lists(st.integers(UNASSIGNED, n - 1), min_size=m, max_size=m)))
-    pending = draw(st.booleans())
+    all_pending = draw(st.booleans())
     assign[draw(st.integers(0, m - 1))] = UNASSIGNED
-    if pending:
+    if all_pending:
         assign[:] = UNASSIGNED
     g = ConnectionGraph(build_cell_graph(dep), assign)
     pairs = [(c, int(u)) for u in np.flatnonzero(assign == UNASSIGNED) for c in range(n)]
