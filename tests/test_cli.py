@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import cellconn
+from cellconn import cli
 from cellconn.cli import (ExperimentConfig, GAIN_COLUMNS, SweepPoint, UsageError,
                           _gain_pct, cmd_eval, cmd_generate, cmd_train,
                           config_from_dict, eval_deployment, load_config, main,
@@ -324,6 +325,48 @@ def test_eval_aggregates_recompute_from_rows(tmp_path):
                 statistics.median(gains), rel=1e-12, abs=1e-15)
             assert float(mean[f"gain_{m}_pct"]) == pytest.approx(
                 statistics.fmean(gains), rel=1e-12, abs=1e-15)
+
+
+def test_eval_blanks_and_excludes_zero_baselines(tmp_path, monkeypatch):
+    """A zero baseline metric leaves that deployment's gain blank; both
+    aggregate rows count it in ``excluded_<metric>`` and are taken over the
+    other deployments only."""
+    baselines = []
+
+    def baseline(dep):
+        baselines.append(max_rsrp_graph(dep))
+        return baselines[-1]
+
+    def on_baselines(metric, zeroed):
+        """``metric`` on policy graphs; on baseline i, 0 when i is in
+        ``zeroed``, else scaled by 1 + i / 10 so every gain differs."""
+        def patched(g, *args):
+            i = next((i for i, b in enumerate(baselines) if b is g), None)
+            if i is None:
+                return metric(g, *args)
+            return 0.0 if i in zeroed else metric(g, *args) * (1.0 + i / 10)
+        return patched
+
+    n = 5
+    zeroed = {"throughput": set(), "coverage": {1, 3}, "jain": set(range(n))}
+    monkeypatch.setattr(cli, "max_rsrp_graph", baseline)
+    monkeypatch.setattr(cli, "sum_throughput", on_baselines(sum_throughput, zeroed["throughput"]))
+    monkeypatch.setattr(cli, "coverage", on_baselines(coverage, zeroed["coverage"]))
+    monkeypatch.setattr(cli, "jain_index", on_baselines(jain_index, zeroed["jain"]))
+    cfg = config_from_dict(micro_doc(n_eval_deployments=n))
+    report = read_report(cmd_eval(cfg, stub_model(tmp_path), str(tmp_path)))
+    deps = [r for r in report if r["row_type"] == "deployment"]
+    aggs = {r["stat"]: r for r in report if r["row_type"] == "aggregate"}
+    assert len(baselines) == len(deps) == n and set(aggs) == {"median", "mean"}
+    for m, zero in zeroed.items():
+        for i, r in enumerate(deps):
+            assert (r[f"gain_{m}_pct"] == "") == (i in zero)
+            assert (float(r[f"baseline_{m}"]) == 0.0) == (i in zero)
+        kept = [float(r[f"gain_{m}_pct"]) for i, r in enumerate(deps) if i not in zero]
+        assert len(set(kept)) == len(kept)
+        for stat, fn in (("median", statistics.median), ("mean", statistics.fmean)):
+            assert aggs[stat][f"excluded_{m}"] == str(len(zero))
+            assert aggs[stat][f"gain_{m}_pct"] == (repr(fn(kept)) if kept else "")
 
 
 def test_eval_density_sweep_rows(tmp_path):
