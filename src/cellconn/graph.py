@@ -154,12 +154,12 @@ def initial_graph(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_
                   ) -> tuple[ConnectionGraph, tuple[int, ...]]:
     """Starting state of an episode.
 
-    Cell-center UEs attach to their strongest cell (ties to the lower cell
-    index); cell-edge UEs stay unassigned and are returned as the reshuffled
-    set, in ascending UE order.
+    Cell-center UEs attach to their strongest cell, the first of their
+    report (ties to the lower cell index); cell-edge UEs stay unassigned and
+    are returned as the reshuffled set, in ascending UE order.
     """
     edge = _edge_mask(dep, threshold_db)
-    assign = np.where(edge, UNASSIGNED, np.argmax(dep.rsrp_dbm, axis=0)).astype(np.int64)
+    assign = np.where(edge, UNASSIGNED, dep.report_cells[:, 0]).astype(np.int64)
     g = ConnectionGraph(cell_adj=build_cell_graph(dep), assign=assign)
     return g, tuple(np.flatnonzero(edge).tolist())
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from cellconn.dqn import EpisodeState, greedy_rollout
 from cellconn.gnn import GnnParams, load_model
-from cellconn.graph import UNASSIGNED, ConnectionGraph, build_cell_graph, initial_graph
+from cellconn.graph import UNASSIGNED, ConnectionGraph, initial_graph
 from cellconn.netmodel import Deployment, MeasurementReport, is_number, load_deployment
 
 __all__ = [
@@ -110,9 +110,9 @@ def handle_event(p: GnnParams, dep: Deployment, g: ConnectionGraph,
 
 
 def max_rsrp_graph(dep: Deployment) -> ConnectionGraph:
-    """Full assignment of a deployment under the max-RSRP baseline."""
-    return ConnectionGraph(cell_adj=build_cell_graph(dep),
-                           assign=np.argmax(dep.rsrp_dbm, axis=0).astype(np.int64))
+    """Full assignment of a deployment under the max-RSRP baseline: the
+    initial graph in which no UE is cell-edge."""
+    return initial_graph(dep, -math.inf)[0]
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
