@@ -210,40 +210,28 @@ def evaluate_point(params, cfg: ExperimentConfig, point_idx: int,
     """Per-deployment policy/baseline metrics and gains for one sweep point,
     followed by the point's median and mean aggregate rows.  The cell-edge
     UEs are those of the model's own threshold, as in ``serve``."""
+    cols = {"n_cells": point.n_cells, "n_ues": point.n_ues,
+            "density_cells_km2": point.density_cells_km2}
     rows: list[dict] = []
-    gains: dict[str, list[float]] = {m: [] for m in _METRICS}
-    excluded = {m: 0 for m in _METRICS}
     for i in range(cfg.n_eval_deployments):
         dep = eval_deployment(cfg, point_idx, point, i)
         cap = dep.cap
-        policy_g = greedy_rollout(params, deployment_state(dep, params))
-        base_g = max_rsrp_graph(dep)
-        row = {"row_type": "deployment", "n_cells": point.n_cells,
-               "n_ues": point.n_ues, "density_cells_km2": point.density_cells_km2,
-               "deployment_seed": dep.seed, "stat": ""}
-        pol = {"throughput": sum_throughput(policy_g, cap),
-               "coverage": coverage(policy_g, cap),
-               "jain": jain_index(policy_g)}
-        base = {"throughput": sum_throughput(base_g, cap),
-                "coverage": coverage(base_g, cap),
-                "jain": jain_index(base_g)}
+        row = {"row_type": "deployment", **cols, "deployment_seed": dep.seed, "stat": ""}
+        for who, g in (("policy", greedy_rollout(params, deployment_state(dep, params))),
+                       ("baseline", max_rsrp_graph(dep))):
+            row[f"{who}_throughput"] = sum_throughput(g, cap)
+            row[f"{who}_coverage"] = coverage(g, cap)
+            row[f"{who}_jain"] = jain_index(g)
         for m in _METRICS:
-            row[f"policy_{m}"] = pol[m]
-            row[f"baseline_{m}"] = base[m]
-            gain = _gain_pct(pol[m], base[m])
-            row[f"gain_{m}_pct"] = gain
-            if gain is None:
-                excluded[m] += 1
-            else:
-                gains[m].append(gain)
+            row[f"gain_{m}_pct"] = _gain_pct(row[f"policy_{m}"], row[f"baseline_{m}"])
         rows.append(row)
+    n = len(rows)  # the deployment rows, counted before the aggregates join them
     for stat, fn in (("median", statistics.median), ("mean", statistics.fmean)):
-        agg = {"row_type": "aggregate", "n_cells": point.n_cells,
-               "n_ues": point.n_ues, "density_cells_km2": point.density_cells_km2,
-               "stat": stat}
+        agg = {"row_type": "aggregate", **cols, "stat": stat}
         for m in _METRICS:
-            agg[f"gain_{m}_pct"] = fn(gains[m]) if gains[m] else None
-            agg[f"excluded_{m}"] = excluded[m]
+            gains = [r[f"gain_{m}_pct"] for r in rows[:n] if r[f"gain_{m}_pct"] is not None]
+            agg[f"gain_{m}_pct"] = fn(gains) if gains else None
+            agg[f"excluded_{m}"] = n - len(gains)
         rows.append(agg)
     return rows
 
