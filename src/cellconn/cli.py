@@ -21,7 +21,7 @@ from cellconn.dqn import TrainConfig, deployment_state, greedy_rollout, train
 from cellconn.gnn import load_model, save_model
 from cellconn.metrics import coverage, jain_index, sum_throughput
 from cellconn.netmodel import Deployment, RadioConfig, generate_deployment, save_deployment
-from cellconn.xapp import max_rsrp_graph, serve
+from cellconn.xapp import max_rsrp_graph, parse_endpoint, serve
 
 # Eval deployments sit far from the training seed range so sweeps never
 # evaluate on a deployment that was trained on.
@@ -284,6 +284,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "serve":
+            try:  # before either file is read
+                parse_endpoint(args.endpoint)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
             serve(args.model, args.deployment, args.endpoint)
             return 0
         cfg = load_config(args.config, args.seed)

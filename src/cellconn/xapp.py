@@ -30,7 +30,7 @@ from cellconn.netmodel import Deployment, MeasurementReport, is_number, load_dep
 
 __all__ = [
     "SubGraph", "extract_subgraph", "handle_event",
-    "max_rsrp_graph", "serve", "serve_stream",
+    "max_rsrp_graph", "parse_endpoint", "serve", "serve_stream",
 ]
 
 
@@ -199,20 +199,28 @@ def serve_stream(p: GnnParams, dep: Deployment, rfile, wfile) -> int:
     return handled
 
 
+def parse_endpoint(endpoint: str) -> tuple[str, int] | None:
+    """None for "-" (stdin/stdout), else the (host, port) of "host:port"; ValueError if malformed."""
+    if endpoint == "-":
+        return None
+    host, _, port = endpoint.rpartition(":")
+    if not (host and port.isascii() and port.isdigit() and len(port) <= 5 and int(port) <= 65535):
+        raise ValueError(f"endpoint must be '-' or host:port, port 0-65535, got {endpoint!r}")
+    return host, int(port)
+
+
 def serve(model_path: str, deployment_path: str, endpoint: str = "-") -> None:
     """Run the handover service on stdin/stdout ("-") or a TCP endpoint
     ("host:port").  Each TCP connection is its own session, served on its own
     daemon thread, so a client that stalls, trickles, never reads its replies
     or resets holds up only its own connection."""
+    address = parse_endpoint(endpoint)
     p = load_model(model_path)
     dep = load_deployment(deployment_path)
-    if endpoint == "-":
+    if address is None:
         serve_stream(p, dep, sys.stdin, sys.stdout)
         return
-    host, _, port = endpoint.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"endpoint must be '-' or host:port, got {endpoint!r}")
-    with socket.create_server((host, int(port))) as srv:
+    with socket.create_server(address) as srv:
         while True:
             conn, _ = srv.accept()
             threading.Thread(target=_serve_connection, args=(p, dep, conn), daemon=True).start()

@@ -407,6 +407,15 @@ def test_main_runtime_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_serve_malformed_endpoint_exits_1_before_reading_files(tmp_path, capsys):
+    for endpoint in ("localhost", "localhost:", ":7000", "localhost:http", "127.0.0.1:65536"):
+        rc = main(["serve", "--model", str(tmp_path / "no-model.json"),
+                   "--deployment", str(tmp_path / "no-dep.json"), "--endpoint", endpoint])
+        err = capsys.readouterr().err
+        assert rc == 1, (endpoint, err)
+        assert repr(endpoint) in err and "no-model" not in err
+
+
 def test_main_serve_eof_exits_clean(tmp_path, capsys, monkeypatch):
     model = stub_model(tmp_path)
     dep_path = str(tmp_path / "dep.json")

@@ -23,8 +23,8 @@ from cellconn.graph import UNASSIGNED, UeClass, capacity_matrix, classify_ues, i
 from cellconn.metrics import sum_throughput
 from cellconn.netmodel import (MeasurementReport, generate_deployment,
                                measurement_report, save_deployment)
-from cellconn.xapp import (extract_subgraph, handle_event, max_rsrp_graph, serve,
-                           serve_stream)
+from cellconn.xapp import (extract_subgraph, handle_event, max_rsrp_graph, parse_endpoint,
+                           serve, serve_stream)
 
 from conftest import deployment_with_rsrp, make_deployment, make_graph
 
@@ -415,6 +415,15 @@ def test_serve_rejects_malformed_endpoint(tmp_path):
     for endpoint in ("localhost", "localhost:", ":7000", "localhost:http"):
         with pytest.raises(ValueError, match="host:port"):
             serve(model, dep, endpoint)
+
+
+def test_parse_endpoint_takes_an_ascii_port_in_range():
+    assert parse_endpoint("-") is None
+    assert parse_endpoint("127.0.0.1:0") == ("127.0.0.1", 0)
+    assert parse_endpoint("::1:65535") == ("::1", 65535)
+    for endpoint in ("h:65536", "h:-1", "h:\u0663", "h: 80", "h:" + "1" * 5000):
+        with pytest.raises(ValueError, match="host:port"):
+            parse_endpoint(endpoint)
 
 
 TCP_REQUEST = b'{"type": "handover", "ue": 0, "rsrp_dbm": {"0": -60.0}}\n'
