@@ -7,7 +7,8 @@ from cellconn.graph import (UNASSIGNED, ConnectionGraph, UeClass, build_cell_gra
                             capacity_matrix, classify_ues, connect, initial_graph,
                             input_features, ue_adjacency, ue_rates)
 from cellconn.metrics import sum_throughput
-from cellconn.netmodel import generate_deployment, rsrp_dbm, rsrp_matrix_dbm, snr_linear
+from cellconn.netmodel import (RadioConfig, generate_deployment, rsrp_dbm, rsrp_matrix_dbm,
+                               snr_linear)
 
 from conftest import deployment_with_rsrp, make_deployment, make_graph
 
@@ -201,12 +202,21 @@ def test_classify_tiny_threshold_all_center():
     assert all(c is UeClass.CELL_CENTER for c in classify_ues(dep, 1e-300))
 
 
-def test_initial_graph_all_center_is_max_rsrp():
-    dep = generate_deployment(41, 4, 10)
-    g, reshuffled = initial_graph(dep, threshold_db=1e-300)
+@pytest.mark.parametrize("dep, threshold_db, tied_ue", [
+    (generate_deployment(41, 4, 10), 1e-300, None),
+    # one report cell; UE 0 sits at mirror images of cells 0 and 1, an exact
+    # tie (a zero gap is not below a zero threshold) that goes to cell 0
+    (make_deployment([(-50, 0), (50, 0), (0, 200)], [(0, 30), (40, 10), (10, 150)],
+                     radio=RadioConfig(report_set_size=1)), 0.0, 0),
+])
+def test_initial_graph_all_center_is_max_rsrp(dep, threshold_db, tied_ue):
+    g, reshuffled = initial_graph(dep, threshold_db=threshold_db)
     assert reshuffled == ()
     rsrp = rsrp_matrix_dbm(dep)
-    assert np.array_equal(g.assign, np.argmax(rsrp, axis=0))
+    assert np.array_equal(g.assign, np.argmax(rsrp, axis=0)) and g.assign.dtype == np.int64
+    if tied_ue is not None:
+        assert rsrp[0, tied_ue] == rsrp[1, tied_ue] == rsrp[:, tied_ue].max()
+        assert dep.report_cells.shape == (dep.n_ues, 1) and g.assign[tied_ue] == 0
 
 
 def test_initial_graph_infinite_threshold_all_reshuffled():
