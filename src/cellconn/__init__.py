@@ -6,14 +6,13 @@ JSON protocol.
 """
 
 from cellconn.netmodel import RadioConfig, Deployment, generate_deployment
-from cellconn.graph import ConnectionGraph, capacity_matrix
+from cellconn.graph import ConnectionGraph
 
 __all__ = [
     "RadioConfig",
     "Deployment",
     "generate_deployment",
     "ConnectionGraph",
-    "capacity_matrix",
 ]
 
 __version__ = "0.1.0"
