@@ -18,13 +18,15 @@ import csv
 import math
 from collections import deque
 from dataclasses import astuple, dataclass, field, fields
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from cellconn.graph import (DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph, connect,
-                            initial_graph, input_features)
-from cellconn.gnn import GnnParams, backward, forward, init_params, score_actions
+from cellconn.graph import (DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph, NodeFeatures,
+                            connect, initial_graph, input_features, ue_adjacency)
+from cellconn.gnn import (GnnParams, backward, candidate_features, forward, init_params,
+                          score_actions, score_candidates)
 from cellconn.metrics import (coverage, jain_index, reward_fair,
                               reward_throughput, sum_throughput)
 from cellconn.netmodel import Deployment
@@ -93,10 +95,31 @@ class EpisodeState:
 @dataclass(frozen=True)
 class Transition:
     """One step as an after-state: its reward and the state it led to.
-    The step is terminal when ``next_state`` has no UE left to assign."""
+    The step is terminal when ``next_state`` has no UE left to assign.
+
+    The network's weight-free inputs are built on first use and kept with the
+    transition, which they never outlive; they read only the graph and
+    ``cap``, so no update makes them stale.  Q reads the after-state's
+    ``features`` and ``adjacency``; the target reads ``candidates``, the next
+    state's legal actions and their ``candidate_features``.
+    """
 
     reward: float
     next_state: EpisodeState
+
+    @cached_property
+    def features(self) -> NodeFeatures:
+        return input_features(self.next_state.graph, self.next_state.cap)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        return ue_adjacency(self.next_state.graph)
+
+    @cached_property
+    def candidates(self) -> tuple[list[tuple[int, int]], NodeFeatures]:
+        nxt = self.next_state
+        actions = legal_actions(nxt)
+        return actions, candidate_features(nxt.graph, nxt.cap, actions)
 
 
 class ReplayBuffer:
@@ -148,11 +171,13 @@ def select_action(p: GnnParams, s: EpisodeState, epsilon: float,
 
 
 def td_target(p: GnnParams, t: Transition, gamma: float) -> float:
-    """One-step bootstrapped return; plain reward at terminal transitions."""
-    nxt = t.next_state
-    if not nxt.unassigned:
+    """One-step bootstrapped return; plain reward at terminal transitions.
+    The max scores every next action in one stacked pass on ``t``'s inputs."""
+    if not t.next_state.unassigned:
         return t.reward
-    return t.reward + gamma * float(score_actions(p, nxt.graph, nxt.cap, legal_actions(nxt)).max())
+    actions, feats = t.candidates
+    q = score_candidates(p, t.next_state.graph, feats, actions, t.adjacency)
+    return t.reward + gamma * float(q.max())
 
 
 def sgd_step(p: GnnParams, batch: Sequence[Transition], alpha: float,
@@ -172,8 +197,7 @@ def sgd_step(p: GnnParams, batch: Sequence[Transition], alpha: float,
     loss = 0.0
     for t in batch:
         y = td_target(p, t, gamma)
-        nxt = t.next_state
-        trace = forward(p, nxt.graph, input_features(nxt.graph, nxt.cap))
+        trace = forward(p, t.next_state.graph, t.features, t.adjacency)
         delta = y - trace.score
         if not math.isfinite(delta):
             raise DivergenceError(f"non-finite TD error: target={y}, q={trace.score}")

@@ -117,6 +117,16 @@ def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
     """
     t = ForwardTrace(a_cl=g.cell_adj, a_ue=None if p.n_layers == 1
                      else ue_adjacency(g) if a_ue is None else a_ue)
+    t.pooled = _rounds(p, t, feats).sum(axis=0)
+    t.z = t.pooled @ p.w4
+    t.score = float(_relu(t.z) @ p.w5)
+    return t
+
+
+def _rounds(p: GnnParams, t: ForwardTrace, feats: NodeFeatures) -> np.ndarray:
+    """``forward``'s rounds, recorded in ``t``; returns the last round's h_cl.
+    Features and ``t.a_ue`` may carry a leading axis, one graph per index
+    over ``t.a_cl``: every product then runs per graph, bit for bit."""
     x1, x2, xu = feats.cell_rate, feats.cell_cap, feats.ue
     for layer in range(p.n_layers):
         r = Round(x1, x2, x1 @ p.w1[layer], x2 @ p.w2[layer])
@@ -127,11 +137,8 @@ def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
         r.xu, r.u3 = xu, xu @ p.w3[layer]
         x1, x2 = t.a_cl @ h_cl, t.a_ue @ _relu(r.u3)
         if layer + 2 < p.n_layers:  # xu' feeds only a UE branch
-            xu = t.a_ue.T @ h_cl
-    t.pooled = h_cl.sum(axis=0)
-    t.z = t.pooled @ p.w4
-    t.score = float(_relu(t.z) @ p.w5)
-    return t
+            xu = t.a_ue.swapaxes(-1, -2) @ h_cl
+    return h_cl
 
 
 def backward(p: GnnParams, t: ForwardTrace) -> GnnParams:
@@ -209,6 +216,49 @@ def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
         ue_feats[idx, 1] = base.ue[idx, 1]
         cell_tput[cell] = per_cell[cell]
     return scores
+
+
+def candidate_features(g: ConnectionGraph, cap: np.ndarray,
+                       actions: list[tuple[int, int]]) -> NodeFeatures:
+    """Every (cell, ue) action's after-state ``input_features``, bit for bit,
+    stacked on a leading candidate axis (K, ·, ·), with every action checked
+    as ``connect`` checks it first.  A candidate changes only its cell's
+    UEs' rates, that cell's served throughput (summed in ascending UE order,
+    by a running sum over a zero-padded row) and the neighbour sums.
+    """
+    for cell, ue in actions:
+        _check_attach(g, cell, ue)
+    base, per_cell, scale = _features_with_parts(g, cap)
+    cells, ues = np.array(actions, dtype=np.intp).reshape(-1, 2).T
+    k = np.arange(len(cells))
+    members = g.assign == cells[:, None]  # (K, n_ues): the cell's UEs after the attach
+    members[k, ues] = True
+    rates = np.where(members, cap[cells] / members.sum(axis=1, keepdims=True), 0.0)
+    tput = np.repeat(per_cell[None], len(cells), axis=0)
+    tput[k, cells] = np.cumsum(rates, axis=1)[:, -1]
+    return NodeFeatures(
+        cell_rate=np.stack([(g.cell_adj @ tput[..., None])[..., 0], tput], axis=-1) / scale,
+        cell_cap=np.stack([tput / scale, np.broadcast_to(base.cell_cap[:, 1], tput.shape)], -1),
+        ue=np.stack([np.broadcast_to(base.ue[:, 0], rates.shape),
+                     np.where(members, rates / scale, base.ue[:, 1])], axis=-1))
+
+
+def score_candidates(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
+                     actions: list[tuple[int, int]], a_ue: np.ndarray | None = None
+                     ) -> np.ndarray:
+    """Q-values of the actions from their ``candidate_features``, in one pass
+    of ``forward``'s rounds and readout over the stack: bit for bit
+    ``score_action`` of each.  With more than one layer the (K, n_cells,
+    n_ues) adjacency stack is made here from ``a_ue``, which is
+    ``ue_adjacency(g)`` (built when None).
+    """
+    if p.n_layers > 1:
+        cells, ues = np.array(actions, dtype=np.intp).reshape(-1, 2).T
+        a_ue = np.repeat((ue_adjacency(g) if a_ue is None else a_ue)[None], len(cells), axis=0)
+        a_ue[np.arange(len(cells)), cells, ues] = 1.0
+    pooled = _rounds(p, ForwardTrace(g.cell_adj, a_ue), feats).sum(axis=-2)
+    z = pooled[:, None, :] @ p.w4  # a product per graph, as forward's: one gemm sums otherwise
+    return (_relu(z) @ p.w5[:, None])[:, 0, 0]
 
 
 def save_model(p: GnnParams, path: str) -> None:

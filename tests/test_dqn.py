@@ -1,6 +1,8 @@
 """TD learner tests: action space, targets, hand-traced updates, training loop."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,11 +11,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cellconn.dqn import (REWARD_KINDS, DivergenceError, EpisodeState, ReplayBuffer,
-                          TrainConfig, Transition, best_action,
+                          TrainConfig, Transition, advance, best_action,
                           deployment_state, greedy_rollout, legal_actions,
                           run_episode, select_action, sgd_step, td_target,
                           train)
-from cellconn.gnn import GnnParams, init_params, score_action
+from cellconn.gnn import GnnParams, init_params, score_action, score_actions
 from cellconn.graph import DEFAULT_D_MAX_M, connect, initial_graph
 from cellconn.metrics import fair_bonus, sum_throughput
 from cellconn.netmodel import generate_deployment
@@ -192,6 +194,35 @@ def test_td_target_bootstrap_scalar_oracle():
         1.0 + 0.5 * SCALAR_Q, rel=1e-15)
 
 
+def desk_transition(reward: float) -> Transition:
+    """A first step on a 6 x 30 deployment, with UEs still pending after it."""
+    s = deployment_state(generate_deployment(11, 6, 30), TrainConfig())
+    nxt = advance(s, *legal_actions(s)[0])
+    assert nxt.unassigned
+    return Transition(reward=reward, next_state=nxt)
+
+
+def test_td_target_scores_cached_inputs_with_the_current_weights():
+    # the transition keeps the inputs, never the scores: each weight vector
+    # gets its own max, before and after the inputs are built
+    p1, p2 = init_params(1, 2, 8, 0.5), init_params(2, 2, 8, 0.5)
+    t = desk_transition(0.25)
+    nxt = t.next_state
+
+    def want(p):
+        return 0.25 + 0.9 * float(score_actions(p, nxt.graph, nxt.cap, legal_actions(nxt)).max())
+
+    assert want(p1) != want(p2)
+    for first, second in ((p1, p2), (p2, p1)):
+        t = Transition(reward=0.25, next_state=nxt)
+        assert "candidates" not in vars(t)
+        assert td_target(first, t, 0.9) == want(first)
+        cached = vars(t)["candidates"]
+        assert td_target(second, t, 0.9) == want(second)
+        assert td_target(first, t, 0.9) == want(first)
+        assert t.candidates is cached
+
+
 # ---------------------------------------------------------------- updates ---
 
 def test_sgd_step_alpha_zero_keeps_params():
@@ -288,6 +319,23 @@ def test_replay_buffer_sample_without_replacement():
         buf.push(scalar_transition(float(r)))
     got = buf.sample(5, np.random.default_rng(1))
     assert sorted(t.reward for t in got) == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+def test_an_evicted_transition_is_freed_with_its_inputs():
+    buf = ReplayBuffer(2)
+    t = desk_transition(1.0)
+    buf.push(t)
+    buf.push(desk_transition(2.0))
+    sgd_step(init_params(0, 2, 8, 0.5), buf.sample(2, np.random.default_rng(0)), 0.1, 1.0)
+    assert {"features", "adjacency", "candidates"} <= set(vars(t))
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is not None  # the buffer still holds it
+    buf.push(desk_transition(3.0))
+    buf.push(desk_transition(4.0))
+    gc.collect()
+    assert ref() is None
 
 
 def test_replay_buffer_errors():

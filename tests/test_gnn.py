@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellconn.gnn as gnn
-from cellconn.gnn import (GnnParams, backward, forward, init_params, load_model,
-                          save_model, score_action, score_actions)
+from cellconn.gnn import (GnnParams, backward, candidate_features, forward, init_params,
+                          load_model, save_model, score_action, score_actions,
+                          score_candidates)
 from cellconn.graph import (UNASSIGNED, ConnectionGraph, NodeFeatures, build_cell_graph,
                             capacity_matrix, connect, initial_graph, input_features,
                             ue_adjacency)
@@ -276,12 +277,22 @@ def report_actions(g, dep):
             for c in sorted({0, *dep.report_cells[u].tolist()})]
 
 
+def stacked_scores(p, g, cap, actions):
+    """The actions' scores from one stacked pass over their ``candidate_features``."""
+    return score_candidates(p, g, candidate_features(g, cap, actions), actions)
+
+
+SCORERS = (score_actions, stacked_scores)
+
+
 def scores_equal_to_the_loop(p, g, cap, actions):
-    """``score_actions`` of the actions, asserted equal to the ``score_action`` loop."""
-    got = score_actions(p, g, cap, actions)
+    """``score_actions`` and the stacked pass of the actions, each asserted
+    equal to the ``score_action`` loop."""
     want = np.array([score_action(p, g, cap, c, u) for c, u in actions])
-    assert got.shape == want.shape and (got == want).all()
-    return got
+    for scorer in SCORERS:
+        got = scorer(p, g, cap, actions)
+        assert got.shape == want.shape and (got == want).all(), scorer.__name__
+    return want
 
 
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
@@ -306,11 +317,12 @@ def test_score_actions_equals_the_score_action_loop_exactly(n, m, n_layers):
 def test_score_actions_of_no_action_and_of_a_taken_ue():
     g, dep = emptied_state(6, 30)
     p = init_params(0, 2, 8, 0.5)
-    assert score_actions(p, g, dep.cap, []).shape == (0,)
     pending, taken = report_actions(g, dep)[0], (0, int(g.assigned_ues()[0]))
-    for bad, match in ((taken, "already connected"), ((6, pending[1]), "out of range")):
-        with pytest.raises(ValueError, match=match):
-            score_actions(p, g, dep.cap, [pending, bad])
+    for scorer in SCORERS:
+        assert scorer(p, g, dep.cap, []).shape == (0,)
+        for bad, match in ((taken, "already connected"), ((6, pending[1]), "out of range")):
+            with pytest.raises(ValueError, match=match):
+                scorer(p, g, dep.cap, [pending, bad])
 
 
 @pytest.mark.parametrize("where", [0, 5, -1])
@@ -327,9 +339,11 @@ def test_score_actions_checks_every_action_before_scoring_any(monkeypatch, cell,
     ue = {"pending": actions[0][1], "taken": int(g.assigned_ues()[0])}.get(ue, ue)
     actions.insert(where % (len(actions) + 1), (cell, ue))
     forwards = []
-    monkeypatch.setattr(gnn, "forward", lambda *a, **k: forwards.append(a))
-    with pytest.raises(ValueError, match=match):
-        score_actions(init_params(0, 2, 8, 0.5), g, dep.cap, actions)
+    for name in ("forward", "_rounds"):
+        monkeypatch.setattr(gnn, name, lambda *a, **k: forwards.append(a))
+    for scorer in SCORERS:
+        with pytest.raises(ValueError, match=match):
+            scorer(init_params(0, 2, 8, 0.5), g, dep.cap, actions)
     with pytest.raises(ValueError, match=match):
         connect(g, cell, ue)
     assert forwards == []
@@ -349,10 +363,11 @@ def test_score_actions_leaves_its_inputs_unchanged(n_layers):
     g, dep = emptied_state(6, 30)
     assign, cell_adj, cap = g.assign.copy(), g.cell_adj.copy(), dep.cap.copy()
     p = init_params(3, n_layers, 8, 0.5)
-    first = score_actions(p, g, dep.cap, report_actions(g, dep))
-    for got, kept in ((g.assign, assign), (g.cell_adj, cell_adj), (dep.cap, cap)):
-        assert got.dtype == kept.dtype and got.tobytes() == kept.tobytes()
-    assert np.array_equal(score_actions(p, g, dep.cap, report_actions(g, dep)), first)
+    for scorer in SCORERS:
+        first = scorer(p, g, dep.cap, report_actions(g, dep))
+        for got, kept in ((g.assign, assign), (g.cell_adj, cell_adj), (dep.cap, cap)):
+            assert got.dtype == kept.dtype and got.tobytes() == kept.tobytes()
+        assert np.array_equal(scorer(p, g, dep.cap, report_actions(g, dep)), first)
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
