@@ -13,7 +13,6 @@ ReLU'(0) is taken as 0.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -178,43 +177,20 @@ def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
                   actions: list[tuple[int, int]]) -> np.ndarray:
     """Q-values of the (cell, ue) actions, in their order: bit for bit the
     ``score_action`` of each, with every action checked as ``connect`` checks
-    it first.  A candidate changes only u's rate, c's UEs' rates, c's served
-    throughput (summed in ascending UE order, as ``input_features`` sums it)
-    and the adjacency entry (c, u), so each runs ``forward`` on one copy of
-    ``g``'s features and adjacency with those entries patched, then reset.
+    it first.  Candidate k runs one ``forward`` on row k of the actions'
+    ``candidate_features`` and one copy of ``g``'s UE adjacency, with its
+    entry (c, u) set for that call only.
     """
-    by_cell = {}  # cell -> [(index in actions, ue)]
-    for k, (cell, ue) in enumerate(actions):
-        _check_attach(g, cell, ue)
-        by_cell.setdefault(cell, []).append((k, ue))
-    base, per_cell, scale = _features_with_parts(g, cap)
-    cell_rate, cell_cap, ue_feats = base.cell_rate.copy(), base.cell_cap.copy(), base.ue.copy()
-    feats, cell_tput = NodeFeatures(cell_rate, cell_cap, ue_feats), per_cell.copy()
+    feats = candidate_features(g, cap, actions)
     a_ue = ue_adjacency(g) if p.n_layers > 1 else None
     scores = np.empty(len(actions))
-    for cell, group in by_cell.items():
-        idx = np.flatnonzero(g.assign == cell)
-        load = len(idx) + 1
-        rates = cap[cell, idx] / load
-        ue_feats[idx, 1], members, rates = rates / scale, idx.tolist(), rates.tolist()
-        for k, ue in group:
-            rate = cap[cell, ue] / load
-            at = bisect.bisect(members, ue)
-            served = 0.0
-            for r in (*rates[:at], rate, *rates[at:]):
-                served += r
-            cell_tput[cell] = served
-            cell_rate[:, 0] = (g.cell_adj @ cell_tput) / scale
-            cell_rate[:, 1] = cell_cap[:, 0] = cell_tput / scale
-            ue_feats[ue, 1] = rate / scale
-            if a_ue is not None:
-                a_ue[cell, ue] = 1.0
-            scores[k] = forward(p, g, feats, a_ue).score
-            if a_ue is not None:
-                a_ue[cell, ue] = 0.0
-            ue_feats[ue, 1] = base.ue[ue, 1]
-        ue_feats[idx, 1] = base.ue[idx, 1]
-        cell_tput[cell] = per_cell[cell]
+    for k, (cell, ue) in enumerate(actions):
+        if a_ue is not None:
+            a_ue[cell, ue] = 1.0
+        row = NodeFeatures(feats.cell_rate[k], feats.cell_cap[k], feats.ue[k])
+        scores[k] = forward(p, g, row, a_ue).score
+        if a_ue is not None:
+            a_ue[cell, ue] = 0.0
     return scores
 
 
@@ -223,8 +199,8 @@ def candidate_features(g: ConnectionGraph, cap: np.ndarray,
     """Every (cell, ue) action's after-state ``input_features``, bit for bit,
     stacked on a leading candidate axis (K, ·, ·), with every action checked
     as ``connect`` checks it first.  A candidate changes only its cell's
-    UEs' rates, that cell's served throughput (summed in ascending UE order,
-    by a running sum over a zero-padded row) and the neighbour sums.
+    UEs' rates, that cell's served throughput (its UEs' rates added one at a
+    time in ascending UE order) and the neighbour sums.
     """
     for cell, ue in actions:
         _check_attach(g, cell, ue)
@@ -233,14 +209,22 @@ def candidate_features(g: ConnectionGraph, cap: np.ndarray,
     k = np.arange(len(cells))
     members = g.assign == cells[:, None]  # (K, n_ues): the cell's UEs after the attach
     members[k, ues] = True
-    rates = np.where(members, cap[cells] / members.sum(axis=1, keepdims=True), 0.0)
+    rates = cap[cells]
+    rates /= members.sum(axis=1, keepdims=True)
+    rates *= members
+    served = np.zeros(len(cells))
+    for col in rates.T:
+        served += col
     tput = np.repeat(per_cell[None], len(cells), axis=0)
-    tput[k, cells] = np.cumsum(rates, axis=1)[:, -1]
+    tput[k, cells] = served
+    ue = np.empty((len(cells), g.n_ues, 2))
+    ue[...] = base.ue
+    rates /= scale
+    np.copyto(ue[..., 1], rates, where=members)
     return NodeFeatures(
         cell_rate=np.stack([(g.cell_adj @ tput[..., None])[..., 0], tput], axis=-1) / scale,
         cell_cap=np.stack([tput / scale, np.broadcast_to(base.cell_cap[:, 1], tput.shape)], -1),
-        ue=np.stack([np.broadcast_to(base.ue[:, 0], rates.shape),
-                     np.where(members, rates / scale, base.ue[:, 1])], axis=-1))
+        ue=ue)
 
 
 def score_candidates(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,

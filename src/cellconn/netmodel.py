@@ -129,13 +129,6 @@ class Deployment:
         return self.ues.shape[0]
 
 
-def hex_vertices(diameter_m: float) -> np.ndarray:
-    """Vertices of the service hexagon (circumradius = diameter / 2)."""
-    radius = diameter_m / 2.0
-    angles = np.arange(6) * (math.pi / 3.0)
-    return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-
 def in_hexagon(points: np.ndarray, diameter_m: float) -> np.ndarray:
     """Membership test for the regular hexagon with vertices on the x axis.
 

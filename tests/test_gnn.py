@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellconn.gnn as gnn
+from cellconn.dqn import deployment_state, legal_actions
 from cellconn.gnn import (GnnParams, backward, candidate_features, forward, init_params,
                           load_model, save_model, score_action, score_actions,
                           score_candidates)
@@ -392,6 +394,22 @@ def test_score_actions_runs_forward_on_each_candidates_own_inputs(monkeypatch, n
     want = [inputs(input_features(g_next, dep.cap), ue_adjacency(g_next) if n_layers > 1 else None)
             for g_next in (connect(g, c, u) for c, u in actions)]
     assert sorted(seen, key=repr) == sorted(want, key=repr)
+
+
+def test_score_actions_memory_stays_one_ue_stack_at_20_by_200():
+    # the decision path holds one (K, n_ues, 2) candidate stack (1.05 MB here);
+    # a (K, n_cells, n_ues) adjacency stack would add about 20 MB
+    p = init_params(0, 2, 8)
+    s = deployment_state(generate_deployment(1_000_000, 20, 200), p)
+    actions = legal_actions(s)
+    assert len(actions) == 328
+    tracemalloc.start()
+    try:
+        score_actions(p, s.graph, s.cap, actions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000
 
 
 @st.composite

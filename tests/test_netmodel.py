@@ -9,7 +9,7 @@ import pytest
 
 from cellconn.netmodel import (CELL_HEIGHT_M, UE_HEIGHT_M, Deployment,
                                MeasurementReport, PlacementError, RadioConfig,
-                               distance_3d_m, generate_deployment, hex_vertices,
+                               distance_3d_m, generate_deployment,
                                in_hexagon, load_deployment,
                                measurement_report, pathloss_db, rsrp_dbm,
                                rsrp_matrix_dbm, save_deployment, snr_linear)
@@ -84,7 +84,8 @@ def test_generate_deployment_shapes_and_membership():
     assert dep.n_cells == 6 and dep.n_ues == 50
     assert dep.shadow_db.shape == (6, 50)
     # independent point-in-convex-polygon oracle over the hexagon's vertices
-    verts = hex_vertices(500.0)
+    angles = np.arange(6) * (math.pi / 3.0)
+    verts = 250.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)  # circumradius 250 m
     for p in np.vstack([dep.cells, dep.ues]):
         for k in range(6):
             a, b = verts[k], verts[(k + 1) % 6]
