@@ -213,7 +213,7 @@ def candidate_features(g: ConnectionGraph, cap: np.ndarray,
     rates /= members.sum(axis=1, keepdims=True)
     rates *= members
     served = np.zeros(len(cells))
-    for col in rates.T:
+    for col in rates.T:  # one add at a time, as np.bincount adds; a row sum adds pairwise
         served += col
     tput = np.repeat(per_cell[None], len(cells), axis=0)
     tput[k, cells] = served
