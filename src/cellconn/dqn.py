@@ -25,8 +25,8 @@ import numpy as np
 
 from cellconn.graph import (DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph, NodeFeatures,
                             connect, initial_graph, input_features, ue_adjacency)
-from cellconn.gnn import (GnnParams, backward, candidate_features, forward, init_params,
-                          score_actions, score_candidates)
+from cellconn.gnn import (GnnParams, backward, candidate_adjacency, candidate_features, forward,
+                          init_params, score_actions)
 from cellconn.metrics import (coverage, jain_index, reward_fair,
                               reward_throughput, sum_throughput)
 from cellconn.netmodel import Deployment
@@ -176,7 +176,7 @@ def td_target(p: GnnParams, t: Transition, gamma: float) -> float:
     if not t.next_state.unassigned:
         return t.reward
     actions, feats = t.candidates
-    q = score_candidates(p, t.next_state.graph, feats, actions, t.adjacency)
+    q = forward(p, t.next_state.graph, feats, candidate_adjacency(t.adjacency, actions)).score
     return t.reward + gamma * float(q.max())
 
 

@@ -96,11 +96,11 @@ class ForwardTrace:
     """Everything ``backward`` needs: one ``Round`` per layer and the readout."""
 
     a_cl: np.ndarray
-    a_ue: np.ndarray | None  # None with one layer, which reads no UE adjacency
+    a_ue: np.ndarray
     rounds: list[Round] = field(default_factory=list)
     pooled: np.ndarray | None = None
     z: np.ndarray | None = None
-    score: float = 0.0
+    score: float | np.ndarray = 0.0
 
 
 def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
@@ -113,19 +113,10 @@ def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
     Readout: score = relu(sum_rows(h_cl) w4) . w5
     The score reads only the last round's h_cl, so the last round computes no
     h_ue, and the round before it no xu'.  A_ue is ``a_ue``, or ``ue_adjacency(g)``.
+    Features and ``a_ue`` may stack K graphs on a leading axis: every product then runs
+    per graph, bit for bit, and ``score`` is a (K,) array instead of a float.
     """
-    t = ForwardTrace(a_cl=g.cell_adj, a_ue=None if p.n_layers == 1
-                     else ue_adjacency(g) if a_ue is None else a_ue)
-    t.pooled = _rounds(p, t, feats).sum(axis=0)
-    t.z = t.pooled @ p.w4
-    t.score = float(_relu(t.z) @ p.w5)
-    return t
-
-
-def _rounds(p: GnnParams, t: ForwardTrace, feats: NodeFeatures) -> np.ndarray:
-    """``forward``'s rounds, recorded in ``t``; returns the last round's h_cl.
-    Features and ``t.a_ue`` may carry a leading axis, one graph per index
-    over ``t.a_cl``: every product then runs per graph, bit for bit."""
+    t = ForwardTrace(g.cell_adj, ue_adjacency(g) if a_ue is None else a_ue)
     x1, x2, xu = feats.cell_rate, feats.cell_cap, feats.ue
     for layer in range(p.n_layers):
         r = Round(x1, x2, x1 @ p.w1[layer], x2 @ p.w2[layer])
@@ -137,7 +128,11 @@ def _rounds(p: GnnParams, t: ForwardTrace, feats: NodeFeatures) -> np.ndarray:
         x1, x2 = t.a_cl @ h_cl, t.a_ue @ _relu(r.u3)
         if layer + 2 < p.n_layers:  # xu' feeds only a UE branch
             xu = t.a_ue.swapaxes(-1, -2) @ h_cl
-    return h_cl
+    t.pooled = h_cl.sum(axis=-2)
+    t.z = (t.pooled[..., None, :] @ p.w4)[..., 0, :]  # a product per graph: one gemm sums otherwise
+    score = (_relu(t.z)[..., None, :] @ p.w5)[..., 0]
+    t.score = float(score) if score.ndim == 0 else score
+    return t
 
 
 def backward(p: GnnParams, t: ForwardTrace) -> GnnParams:
@@ -181,16 +176,13 @@ def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
     ``candidate_features`` and one copy of ``g``'s UE adjacency, with its
     entry (c, u) set for that call only.
     """
-    feats = candidate_features(g, cap, actions)
-    a_ue = ue_adjacency(g) if p.n_layers > 1 else None
+    feats, a_ue = candidate_features(g, cap, actions), ue_adjacency(g)
     scores = np.empty(len(actions))
     for k, (cell, ue) in enumerate(actions):
-        if a_ue is not None:
-            a_ue[cell, ue] = 1.0
+        a_ue[cell, ue] = 1.0
         row = NodeFeatures(feats.cell_rate[k], feats.cell_cap[k], feats.ue[k])
         scores[k] = forward(p, g, row, a_ue).score
-        if a_ue is not None:
-            a_ue[cell, ue] = 0.0
+        a_ue[cell, ue] = 0.0
     return scores
 
 
@@ -227,22 +219,14 @@ def candidate_features(g: ConnectionGraph, cap: np.ndarray,
         ue=ue)
 
 
-def score_candidates(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
-                     actions: list[tuple[int, int]], a_ue: np.ndarray | None = None
-                     ) -> np.ndarray:
-    """Q-values of the actions from their ``candidate_features``, in one pass
-    of ``forward``'s rounds and readout over the stack: bit for bit
-    ``score_action`` of each.  With more than one layer the (K, n_cells,
-    n_ues) adjacency stack is made here from ``a_ue``, which is
-    ``ue_adjacency(g)`` (built when None).
-    """
-    if p.n_layers > 1:
-        cells, ues = np.array(actions, dtype=np.intp).reshape(-1, 2).T
-        a_ue = np.repeat((ue_adjacency(g) if a_ue is None else a_ue)[None], len(cells), axis=0)
-        a_ue[np.arange(len(cells)), cells, ues] = 1.0
-    pooled = _rounds(p, ForwardTrace(g.cell_adj, a_ue), feats).sum(axis=-2)
-    z = pooled[:, None, :] @ p.w4  # a product per graph, as forward's: one gemm sums otherwise
-    return (_relu(z) @ p.w5[:, None])[:, 0, 0]
+def candidate_adjacency(a_ue: np.ndarray, actions: list[tuple[int, int]]) -> np.ndarray:
+    """Every (cell, ue) action's after-state ``ue_adjacency``, stacked on a
+    leading candidate axis (K, n_cells, n_ues): ``a_ue`` with entry (c, u)
+    set.  The actions are not checked; ``candidate_features`` checks them."""
+    cells, ues = np.array(actions, dtype=np.intp).reshape(-1, 2).T
+    stack = np.repeat(a_ue[None], len(cells), axis=0)
+    stack[np.arange(len(cells)), cells, ues] = 1.0
+    return stack
 
 
 def save_model(p: GnnParams, path: str) -> None:

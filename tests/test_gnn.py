@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 import cellconn.gnn as gnn
 from cellconn.dqn import deployment_state, legal_actions
-from cellconn.gnn import (GnnParams, backward, candidate_features, forward, init_params,
-                          load_model, save_model, score_action, score_actions,
-                          score_candidates)
+from cellconn.gnn import (GnnParams, backward, candidate_adjacency, candidate_features, forward,
+                          init_params, load_model, save_model, score_action, score_actions)
 from cellconn.graph import (UNASSIGNED, ConnectionGraph, NodeFeatures, build_cell_graph,
                             capacity_matrix, connect, initial_graph, input_features,
                             ue_adjacency)
@@ -280,8 +279,9 @@ def report_actions(g, dep):
 
 
 def stacked_scores(p, g, cap, actions):
-    """The actions' scores from one stacked pass over their ``candidate_features``."""
-    return score_candidates(p, g, candidate_features(g, cap, actions), actions)
+    """The actions' scores from one stacked ``forward`` over their ``candidate_features``."""
+    return gnn.forward(p, g, candidate_features(g, cap, actions),
+                       candidate_adjacency(ue_adjacency(g), actions)).score
 
 
 SCORERS = (score_actions, stacked_scores)
@@ -341,8 +341,7 @@ def test_score_actions_checks_every_action_before_scoring_any(monkeypatch, cell,
     ue = {"pending": actions[0][1], "taken": int(g.assigned_ues()[0])}.get(ue, ue)
     actions.insert(where % (len(actions) + 1), (cell, ue))
     forwards = []
-    for name in ("forward", "_rounds"):
-        monkeypatch.setattr(gnn, name, lambda *a, **k: forwards.append(a))
+    monkeypatch.setattr(gnn, "forward", lambda *a, **k: forwards.append(a))
     for scorer in SCORERS:
         with pytest.raises(ValueError, match=match):
             scorer(init_params(0, 2, 8, 0.5), g, dep.cap, actions)
@@ -379,8 +378,7 @@ def test_score_actions_runs_forward_on_each_candidates_own_inputs(monkeypatch, n
     actions = report_actions(g, dep)
 
     def inputs(feats, a_ue):
-        return (*(f.tobytes() for f in dataclasses.astuple(feats)),
-                None if a_ue is None else a_ue.tobytes())
+        return (*(f.tobytes() for f in dataclasses.astuple(feats)), a_ue.tobytes())
 
     seen = []
 
@@ -391,7 +389,7 @@ def test_score_actions_runs_forward_on_each_candidates_own_inputs(monkeypatch, n
 
     monkeypatch.setattr(gnn, "forward", recording)
     score_actions(init_params(0, n_layers, 8, 0.5), g, dep.cap, actions)
-    want = [inputs(input_features(g_next, dep.cap), ue_adjacency(g_next) if n_layers > 1 else None)
+    want = [inputs(input_features(g_next, dep.cap), ue_adjacency(g_next))
             for g_next in (connect(g, c, u) for c, u in actions)]
     assert sorted(seen, key=repr) == sorted(want, key=repr)
 
@@ -435,17 +433,17 @@ def test_score_actions_equals_the_loop_on_random_states(state, n_layers, seed):
     scores_equal_to_the_loop(init_params(seed, n_layers, 8, 0.5), g, cap, actions)
 
 
-def test_one_layer_forward_builds_no_ue_adjacency(rng):
-    # one round reads only the cell rows: neither the score nor a gradient needs A_ue
+def test_one_layer_score_and_gradient_read_no_ue_adjacency(rng):
+    # one round reads only the cell rows: a NaN A_ue changes neither the score nor a gradient
     g, cap, feats = random_instance(rng, n=4, m=8)
     p = random_params(rng, n_layers=1)
     t = forward(p, g, feats)
-    assert t.a_ue is None
     relu = lambda x: np.maximum(x, 0.0)
     h_cl = relu(feats.cell_rate @ p.w1[0]) + relu(feats.cell_cap @ p.w2[0])
     assert t.score == float(relu(h_cl.sum(axis=0) @ p.w4) @ p.w5)
-    with_adjacency = backward(p, dataclasses.replace(t, a_ue=ue_adjacency(g)))
-    assert np.array_equal(backward(p, t).vec, with_adjacency.vec)
+    nan = np.full_like(t.a_ue, math.nan)
+    assert forward(p, g, feats, nan).score == t.score
+    assert np.array_equal(backward(p, t).vec, backward(p, dataclasses.replace(t, a_ue=nan)).vec)
 
 
 def test_model_roundtrip_bitwise(tmp_path, rng):
