@@ -46,8 +46,7 @@ class GnnParams:
                  edge_threshold_db: float = DEFAULT_EDGE_THRESHOLD_DB):
         if n_layers < 1 or width < 1:
             raise ValueError(f"need layers >= 1 and width >= 1, got {n_layers}/{width}")
-        rounds = [(2 if layer == 0 else width, width) for layer in range(n_layers)]
-        shapes = [*rounds, *rounds, *rounds, (width, width), (width,)]
+        shapes = _weight_shapes(n_layers, width)
         bounds = np.cumsum([0, *(math.prod(s) for s in shapes)])
         self.n_layers, self.width, self.edge_threshold_db = n_layers, width, edge_threshold_db
         self.vec = np.zeros(bounds[-1]) if vec is None else vec
@@ -55,6 +54,12 @@ class GnnParams:
         n = n_layers
         self.w1, self.w2, self.w3 = self.arrays[:n], self.arrays[n:2 * n], self.arrays[2 * n:3 * n]
         self.w4, self.w5 = self.arrays[3 * n:]
+
+
+def _weight_shapes(n_layers: int, width: int) -> list[tuple[int, ...]]:
+    """The shapes of ``GnnParams.arrays``, in storage order."""
+    rounds = [(2 if layer == 0 else width, width) for layer in range(n_layers)]
+    return [*rounds, *rounds, *rounds, (width, width), (width,)]
 
 
 def init_params(seed: int, n_layers: int = 2, width: int = 8,
@@ -267,16 +272,14 @@ def load_model(path: str) -> GnnParams:
     if not is_number(threshold) or math.isnan(threshold):
         raise ValueError(f"model file edge_threshold_db must be a number and not NaN, "
                          f"got {threshold!r}")
-    p = GnnParams(n_layers, width, edge_threshold_db=float(threshold))
     rounds = [doc[k] for k in ("w1", "w2", "w3")]
-    mismatch = ValueError(f"model file shapes do not match layers={n_layers} width={width}")
     if any(not isinstance(mats, list) or len(mats) != n_layers for mats in rounds):
-        raise mismatch
-    for slot, w in zip(p.arrays, [*rounds[0], *rounds[1], *rounds[2], doc["w4"], doc["w5"]]):
-        w = number_array(w, "model file weights")
-        if w.shape != slot.shape:
-            raise mismatch
-        slot[...] = w
-    if not np.isfinite(p.vec).all():
+        raise ValueError(f"model file shapes do not match layers={n_layers} width={width}")
+    weights = [number_array(w, "model file weights")  # the file's sizes: checked before allocating
+               for w in (*rounds[0], *rounds[1], *rounds[2], doc["w4"], doc["w5"])]
+    if [w.shape for w in weights] != _weight_shapes(n_layers, width):
+        raise ValueError(f"model file shapes do not match layers={n_layers} width={width}")
+    vec = np.concatenate([w.ravel() for w in weights])
+    if not np.isfinite(vec).all():
         raise ValueError("model file weights must be finite")
-    return p
+    return GnnParams(n_layers, width, vec, edge_threshold_db=float(threshold))

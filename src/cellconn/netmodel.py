@@ -98,6 +98,7 @@ class Deployment:
         report_cells: (n_ues, k) cells of each UE's measurement report,
             k = min(report_set_size, n_cells), by falling RSRP with exact
             ties to the lower cell index.  Derived on construction, read-only.
+    Construction raises ValueError unless ``rsrp_dbm`` and ``cap`` are finite.
     """
 
     seed: int
@@ -115,6 +116,8 @@ class Deployment:
         rsrp = self.radio.tx_power_dbm - pl - self.shadow_db
         cap = np.log2(1.0 + snr_linear(rsrp, self.radio))
         k = min(self.radio.report_set_size, self.n_cells)
+        if not (np.isfinite(rsrp).all() and np.isfinite(cap).all()):
+            raise ValueError(f"deployment {self.seed}: RSRP and capacity must be finite")
         report = np.argsort(-rsrp, axis=0, kind="stable")[:k].T
         for name, arr in (("rsrp_dbm", rsrp), ("cap", cap), ("report_cells", report)):
             arr.setflags(write=False)
@@ -183,7 +186,8 @@ def generate_deployment(seed: int, n_cells: int, n_ues: int,
     deployment bit for bit.
 
     Raises:
-        ValueError: non-positive counts, or a diameter not positive and finite.
+        ValueError: non-positive counts, a diameter not positive and finite, or
+            a radio that makes RSRP or capacity not finite.
         PlacementError: separation constraint infeasible.
     """
     if n_cells < 1 or n_ues < 1:
@@ -280,7 +284,8 @@ def load_deployment(path: str) -> Deployment:
     """Read a file written by ``save_deployment``; raises ValueError unless it holds an object
     with every key that ``save_deployment`` writes, ``seed`` is an integer, ``hex_diameter_m``
     a finite number > 0, ``radio`` an object that ``RadioConfig`` takes, and cells, ues,
-    shadow_db finite (n, 2), (m, 2), (n, m) arrays of numbers."""
+    shadow_db finite (n, 2), (m, 2), (n, m) arrays of numbers, and the ``Deployment`` they
+    make has a finite RSRP map and capacity matrix."""
     doc = read_json_object(path, ("seed", "hex_diameter_m", "radio", "cells", "ues", "shadow_db"))
     seed, diameter, radio = doc["seed"], doc["hex_diameter_m"], doc["radio"]
     if type(seed) is not int:

@@ -524,6 +524,15 @@ def test_model_wrong_matrix_count_errors(tmp_path):
         load_model(str(path))
 
 
+def test_model_shapes_are_checked_before_allocating(tmp_path):
+    # a 2 x 8 file that declares width 10**6 would allocate about 32 TB of weights
+    path = tmp_path / "model.json"
+    save_model(init_params(0, 2, 8, 0.01), str(path))
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), width=10 ** 6)))
+    with pytest.raises(ValueError, match="shapes"):
+        load_model(str(path))
+
+
 def test_model_bad_version_errors(tmp_path):
     path = tmp_path / "model.json"
     save_model(init_params(0, 1, 8, 0.01), str(path))

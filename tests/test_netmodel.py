@@ -215,6 +215,18 @@ def test_load_deployment_rejects_bad_shapes_and_non_finite_values(tmp_path):
             load_deployment(str(path))
 
 
+def test_load_deployment_rejects_a_non_finite_rsrp_map_or_capacity(tmp_path):
+    path = tmp_path / "dep.json"
+    save_deployment(generate_deployment(42, 6, 30), str(path))
+    good = json.loads(path.read_text(encoding="utf-8"))
+    far = [[1e200, good["cells"][0][1]]] + good["cells"][1:]  # a squared distance overflows
+    for bad in (dict(good, radio=dict(good["radio"], tx_power_dbm=1e308)),  # SNR overflows
+                dict(good, cells=far)):  # infinite path loss: RSRP -inf
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+            load_deployment(str(path))
+
+
 def test_report_set_size_below_one_rejected(tmp_path):
     for k in (0, -1):
         with pytest.raises(ValueError, match="report_set_size"):
