@@ -24,9 +24,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from cellconn.graph import (DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph, NodeFeatures,
-                            connect, initial_graph, input_features, ue_adjacency)
-from cellconn.gnn import (GnnParams, backward, candidate_adjacency, candidate_features, forward,
-                          init_params, score_actions)
+                            after_states, connect, initial_graph, input_features)
+from cellconn.gnn import GnnParams, backward, forward, init_params, score_actions
 from cellconn.metrics import (coverage, jain_index, reward_fair,
                               reward_throughput, sum_throughput)
 from cellconn.netmodel import Deployment
@@ -100,8 +99,8 @@ class Transition:
     The network's weight-free inputs are built on first use and kept with the
     transition, which they never outlive; they read only the graph and
     ``cap``, so no update makes them stale.  Q reads the after-state's
-    ``features`` and ``adjacency``; the target reads ``candidates``, the next
-    state's legal actions and their ``candidate_features``.
+    ``features``; the target reads ``candidates``, the ``after_states`` of the
+    next state's legal actions and their ``input_features``.
     """
 
     reward: float
@@ -112,14 +111,10 @@ class Transition:
         return input_features(self.next_state.graph, self.next_state.cap)
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        return ue_adjacency(self.next_state.graph)
-
-    @cached_property
-    def candidates(self) -> tuple[list[tuple[int, int]], NodeFeatures]:
+    def candidates(self) -> tuple[ConnectionGraph, NodeFeatures]:
         nxt = self.next_state
-        actions = legal_actions(nxt)
-        return actions, candidate_features(nxt.graph, nxt.cap, actions)
+        stack = after_states(nxt.graph, legal_actions(nxt))
+        return stack, input_features(stack, nxt.cap)
 
 
 class ReplayBuffer:
@@ -175,9 +170,7 @@ def td_target(p: GnnParams, t: Transition, gamma: float) -> float:
     The max scores every next action in one stacked pass on ``t``'s inputs."""
     if not t.next_state.unassigned:
         return t.reward
-    actions, feats = t.candidates
-    q = forward(p, t.next_state.graph, feats, candidate_adjacency(t.adjacency, actions)).score
-    return t.reward + gamma * float(q.max())
+    return t.reward + gamma * float(forward(p, *t.candidates).score.max())
 
 
 def sgd_step(p: GnnParams, batch: Sequence[Transition], alpha: float,
@@ -197,7 +190,7 @@ def sgd_step(p: GnnParams, batch: Sequence[Transition], alpha: float,
     loss = 0.0
     for t in batch:
         y = td_target(p, t, gamma)
-        trace = forward(p, t.next_state.graph, t.features, t.adjacency)
+        trace = forward(p, t.next_state.graph, t.features)
         delta = y - trace.score
         if not math.isfinite(delta):
             raise DivergenceError(f"non-finite TD error: target={y}, q={trace.score}")

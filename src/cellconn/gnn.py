@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cellconn.graph import (DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph, NodeFeatures,
-                            _check_attach, _features_with_parts, connect, input_features,
-                            ue_adjacency)
+                            after_states, connect, input_features, ue_adjacency)
 from cellconn.netmodel import is_number, number_array, read_json_object
 
 MODEL_FORMAT_VERSION = 2  # version 1 files carry no threshold and load with the default
@@ -118,8 +117,8 @@ def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
     Readout: score = relu(sum_rows(h_cl) w4) . w5
     The score reads only the last round's h_cl, so the last round computes no
     h_ue, and the round before it no xu'.  A_ue is ``a_ue``, or ``ue_adjacency(g)``.
-    Features and ``a_ue`` may stack K graphs on a leading axis: every product then runs
-    per graph, bit for bit, and ``score`` is a (K,) array instead of a float.
+    ``g`` (or ``a_ue``) and the features may stack K graphs on a leading axis: every
+    product then runs per graph, bit for bit, and ``score`` is a (K,) array, not a float.
     """
     t = ForwardTrace(g.cell_adj, ue_adjacency(g) if a_ue is None else a_ue)
     x1, x2, xu = feats.cell_rate, feats.cell_cap, feats.ue
@@ -177,11 +176,11 @@ def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
                   actions: list[tuple[int, int]]) -> np.ndarray:
     """Q-values of the (cell, ue) actions, in their order: bit for bit the
     ``score_action`` of each, with every action checked as ``connect`` checks
-    it first.  Candidate k runs one ``forward`` on row k of the actions'
-    ``candidate_features`` and one copy of ``g``'s UE adjacency, with its
-    entry (c, u) set for that call only.
+    it first.  Candidate k runs one ``forward`` on row k of the
+    ``input_features`` of the actions' ``after_states`` and one copy of
+    ``g``'s UE adjacency, with its entry (c, u) set for that call only.
     """
-    feats, a_ue = candidate_features(g, cap, actions), ue_adjacency(g)
+    feats, a_ue = input_features(after_states(g, actions), cap), ue_adjacency(g)
     scores = np.empty(len(actions))
     for k, (cell, ue) in enumerate(actions):
         a_ue[cell, ue] = 1.0
@@ -189,49 +188,6 @@ def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
         scores[k] = forward(p, g, row, a_ue).score
         a_ue[cell, ue] = 0.0
     return scores
-
-
-def candidate_features(g: ConnectionGraph, cap: np.ndarray,
-                       actions: list[tuple[int, int]]) -> NodeFeatures:
-    """Every (cell, ue) action's after-state ``input_features``, bit for bit,
-    stacked on a leading candidate axis (K, ·, ·), with every action checked
-    as ``connect`` checks it first.  A candidate changes only its cell's
-    UEs' rates, that cell's served throughput (its UEs' rates added one at a
-    time in ascending UE order) and the neighbour sums.
-    """
-    for cell, ue in actions:
-        _check_attach(g, cell, ue)
-    base, per_cell, scale = _features_with_parts(g, cap)
-    cells, ues = np.array(actions, dtype=np.intp).reshape(-1, 2).T
-    k = np.arange(len(cells))
-    members = g.assign == cells[:, None]  # (K, n_ues): the cell's UEs after the attach
-    members[k, ues] = True
-    rates = cap[cells]
-    rates /= members.sum(axis=1, keepdims=True)
-    rates *= members
-    served = np.zeros(len(cells))
-    for col in rates.T:  # one add at a time, as np.bincount adds; a row sum adds pairwise
-        served += col
-    tput = np.repeat(per_cell[None], len(cells), axis=0)
-    tput[k, cells] = served
-    ue = np.empty((len(cells), g.n_ues, 2))
-    ue[...] = base.ue
-    rates /= scale
-    np.copyto(ue[..., 1], rates, where=members)
-    return NodeFeatures(
-        cell_rate=np.stack([(g.cell_adj @ tput[..., None])[..., 0], tput], axis=-1) / scale,
-        cell_cap=np.stack([tput / scale, np.broadcast_to(base.cell_cap[:, 1], tput.shape)], -1),
-        ue=ue)
-
-
-def candidate_adjacency(a_ue: np.ndarray, actions: list[tuple[int, int]]) -> np.ndarray:
-    """Every (cell, ue) action's after-state ``ue_adjacency``, stacked on a
-    leading candidate axis (K, n_cells, n_ues): ``a_ue`` with entry (c, u)
-    set.  The actions are not checked; ``candidate_features`` checks them."""
-    cells, ues = np.array(actions, dtype=np.intp).reshape(-1, 2).T
-    stack = np.repeat(a_ue[None], len(cells), axis=0)
-    stack[np.arange(len(cells)), cells, ues] = 1.0
-    return stack
 
 
 def save_model(p: GnnParams, path: str) -> None:

@@ -8,6 +8,7 @@ value-semantic: ``connect`` returns a new graph and never mutates its input.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,7 +40,9 @@ def build_cell_graph(dep: Deployment) -> np.ndarray:
 class ConnectionGraph:
     """Cell-cell adjacency plus the current UE-to-cell assignment.
 
-    ``assign[j]`` is the serving cell of UE j, or UNASSIGNED.
+    ``assign[j]`` is the serving cell of UE j, or UNASSIGNED.  ``assign`` may
+    carry a leading axis: a stack of graphs on the same cells (``after_states``),
+    which ``ue_rates``, ``input_features`` and ``ue_adjacency`` read graph by graph.
     """
 
     cell_adj: np.ndarray
@@ -51,7 +54,7 @@ class ConnectionGraph:
 
     @property
     def n_ues(self) -> int:
-        return self.assign.shape[0]
+        return self.assign.shape[-1]
 
     def loads(self) -> np.ndarray:
         """Number of UEs served by each cell."""
@@ -84,25 +87,48 @@ def connect(g: ConnectionGraph, cell: int, ue: int) -> ConnectionGraph:
     return replace(g, assign=assign)
 
 
+def after_states(g: ConnectionGraph, actions: list[tuple[int, int]]) -> ConnectionGraph:
+    """The stack of K graphs whose row k is ``connect(g, *actions[k])``, with
+    every action checked as ``connect`` checks it first: the first bad one raises."""
+    cells, ues = np.array(actions, dtype=np.intp).reshape(-1, 2).T
+    ok = (0 <= cells) & (cells < g.n_cells) & (0 <= ues) & (ues < g.n_ues)
+    ok[ok] = g.assign[ues[ok]] == UNASSIGNED  # only an in-range UE indexes assign
+    if not ok.all():
+        _check_attach(g, *actions[np.argmin(ok)])
+    assign = np.repeat(g.assign[None], len(cells), axis=0)
+    assign[np.arange(len(cells)), ues] = cells
+    return replace(g, assign=assign)
+
+
 def ue_adjacency(g: ConnectionGraph) -> np.ndarray:
-    """(n_cells, n_ues) incidence matrix of the current assignment."""
-    a = np.zeros((g.n_cells, g.n_ues))
-    served = g.assigned_ues()
-    a[g.assign[served], served] = 1.0
-    return a
+    """(n_cells, n_ues) incidence matrix of the assignment; (K, n_cells, n_ues) for a stack."""
+    return (g.assign[..., None, :] == np.arange(g.n_cells)[:, None]).astype(float)
 
 
 def ue_rates(g: ConnectionGraph, cap: np.ndarray) -> np.ndarray:
     """Per-UE shared rate: capacity split evenly across the serving cell's load.
 
-    Unassigned UEs have rate zero.
+    Unassigned UEs have rate zero.  ``g`` may be a stack of graphs.
     """
-    loads = g.loads()
-    rates = np.zeros(g.n_ues)
-    served = g.assigned_ues()
-    cells = g.assign[served]
-    rates[served] = cap[cells, served] / loads[cells]
-    return rates
+    return _rates(g, cap)[0]
+
+
+def _rates(g: ConnectionGraph, cap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ue_rates`` and every cell's served throughput: its UEs' rates added one
+    at a time in ascending UE order, as ``np.bincount`` adds them.
+
+    Each ``np.bincount`` segment-sums all graphs of a stack at once.  Segment 0 of
+    each graph is a spare cell that takes its unassigned UEs; segment c + 1 is cell c.
+    """
+    n, m = g.n_cells, g.n_ues
+    lead = g.assign.shape[:-1]
+    spare = np.concatenate([cap, np.zeros((1, m))]).ravel()  # UNASSIGNED * m + j wraps to row n
+    per_ue = np.take(spare, g.assign * m + np.arange(m))
+    seg = g.assign + ((n + 1) * np.arange(math.prod(lead)) + 1).reshape(*lead, 1)
+    bins = (n + 1) * math.prod(lead)
+    per_ue /= np.take(np.bincount(seg.ravel(), minlength=bins).astype(float), seg)  # the load
+    per_cell = np.bincount(seg.ravel(), weights=per_ue.ravel(), minlength=bins)
+    return per_ue, per_cell.reshape(*lead, n + 1)[..., 1:]
 
 
 @dataclass(frozen=True)
@@ -165,7 +191,8 @@ def initial_graph(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_
 
 
 def input_features(g: ConnectionGraph, cap: np.ndarray) -> NodeFeatures:
-    """Assemble and normalize the three node-feature blocks.
+    """Assemble and normalize the three node-feature blocks, of one graph or,
+    on a leading axis, of each graph of a stack.
 
     All six columns are divided by the mean link capacity of the deployment
     (plus a small epsilon).  The divisor depends only on the capacity matrix,
@@ -174,23 +201,13 @@ def input_features(g: ConnectionGraph, cap: np.ndarray) -> NodeFeatures:
     high-rate assignment from a low-rate one.  The same normalization runs at
     training and inference time.
     """
-    return _features_with_parts(g, cap)[0]
-
-
-def _features_with_parts(g: ConnectionGraph, cap: np.ndarray
-                         ) -> tuple[NodeFeatures, np.ndarray, float]:
-    """``input_features`` with two of its raw parts: every cell's served
-    throughput (its UEs' rates added one at a time in ascending UE order, as
-    ``np.bincount`` adds them) and the normalizing scale."""
-    per_ue = ue_rates(g, cap)
-    served = g.assigned_ues()
-    per_cell = np.bincount(g.assign[served], weights=per_ue[served],
-                           minlength=g.n_cells).astype(float)  # int64 when no UE is served
-
+    per_ue, per_cell = _rates(g, cap)
+    blocks = (((g.cell_adj @ per_cell[..., None])[..., 0], per_cell),
+              (per_cell, cap.sum(axis=1)),
+              (cap.sum(axis=0), per_ue))
     scale = cap.mean() + FEATURE_NORM_EPS
-    cell_rate = np.stack([g.cell_adj @ per_cell, per_cell], axis=1)
-    cell_cap = np.stack([per_cell, cap.sum(axis=1)], axis=1)
-    ue = np.stack([cap.sum(axis=0), per_ue], axis=1)
-    return NodeFeatures(cell_rate=cell_rate / scale,
-                        cell_cap=cell_cap / scale,
-                        ue=ue / scale), per_cell, scale
+    feats = [np.empty((*np.broadcast_shapes(a.shape, b.shape), 2)) for a, b in blocks]
+    for f, (a, b) in zip(feats, blocks):
+        np.divide(a, scale, out=f[..., 0])
+        np.divide(b, scale, out=f[..., 1])
+    return NodeFeatures(*feats)

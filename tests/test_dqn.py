@@ -327,7 +327,7 @@ def test_an_evicted_transition_is_freed_with_its_inputs():
     buf.push(t)
     buf.push(desk_transition(2.0))
     sgd_step(init_params(0, 2, 8, 0.5), buf.sample(2, np.random.default_rng(0)), 0.1, 1.0)
-    assert {"features", "adjacency", "candidates"} <= set(vars(t))
+    assert {"features", "candidates"} <= set(vars(t))
     ref = weakref.ref(t)
     del t
     gc.collect()

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 import cellconn.gnn as gnn
 from cellconn.dqn import deployment_state, legal_actions
-from cellconn.gnn import (GnnParams, backward, candidate_adjacency, candidate_features, forward,
-                          init_params, load_model, save_model, score_action, score_actions)
-from cellconn.graph import (UNASSIGNED, ConnectionGraph, NodeFeatures, build_cell_graph,
-                            capacity_matrix, connect, initial_graph, input_features,
-                            ue_adjacency)
+from cellconn.gnn import (GnnParams, backward, forward, init_params, load_model, save_model,
+                          score_action, score_actions)
+from cellconn.graph import (UNASSIGNED, ConnectionGraph, NodeFeatures, after_states,
+                            build_cell_graph, capacity_matrix, connect, initial_graph,
+                            input_features, ue_adjacency)
 from cellconn.netmodel import generate_deployment
 
 from conftest import make_graph
@@ -279,9 +279,9 @@ def report_actions(g, dep):
 
 
 def stacked_scores(p, g, cap, actions):
-    """The actions' scores from one stacked ``forward`` over their ``candidate_features``."""
-    return gnn.forward(p, g, candidate_features(g, cap, actions),
-                       candidate_adjacency(ue_adjacency(g), actions)).score
+    """The actions' scores from one stacked ``forward`` over their ``after_states``."""
+    stack = after_states(g, actions)
+    return gnn.forward(p, stack, input_features(stack, cap)).score
 
 
 SCORERS = (score_actions, stacked_scores)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from cellconn.graph import (UNASSIGNED, ConnectionGraph, UeClass, build_cell_graph,
-                            capacity_matrix, classify_ues, connect, initial_graph,
-                            input_features, ue_adjacency, ue_rates)
+from cellconn.graph import (UNASSIGNED, ConnectionGraph, UeClass, after_states,
+                            build_cell_graph, capacity_matrix, classify_ues, connect,
+                            initial_graph, input_features, ue_adjacency, ue_rates)
 from cellconn.metrics import sum_throughput
 from cellconn.netmodel import (RadioConfig, generate_deployment, rsrp_dbm, rsrp_matrix_dbm,
                                snr_linear)
@@ -80,6 +80,48 @@ def test_ue_adjacency_column_and_row_sums():
     assert a.shape == (3, 4)
     assert np.all(a.sum(axis=0) <= 1)
     assert np.array_equal(a.sum(axis=1), g.loads())
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", ["one cell", "every UE pending", "partly assigned", "no action"])
+def test_after_states_rows_are_the_connected_graphs_bit_for_bit(case):
+    # row k of the stack's features and UE adjacency is those of connect(g, *actions[k])
+    dep = generate_deployment(5, 1 if case == "one cell" else 6, 30)
+    g, _ = initial_graph(dep)
+    assign = np.full_like(g.assign, UNASSIGNED) if case == "every UE pending" else g.assign.copy()
+    assign[::3] = UNASSIGNED
+    g = ConnectionGraph(g.cell_adj, assign)
+    actions = [(c, int(u)) for u in np.flatnonzero(assign == UNASSIGNED)
+               for c in range(dep.n_cells)] if case != "no action" else []
+    stack = after_states(g, actions)
+    assert same_bits(g.assign, assign) and stack.cell_adj is g.cell_adj
+    feats, a_ue = input_features(stack, dep.cap), ue_adjacency(stack)
+    n, m = dep.n_cells, dep.n_ues
+    assert (feats.cell_rate.shape, feats.cell_cap.shape, feats.ue.shape, a_ue.shape) == (
+        (len(actions), n, 2), (len(actions), n, 2), (len(actions), m, 2), (len(actions), n, m))
+    for k, action in enumerate(actions):
+        g_next = connect(g, *action)
+        assert same_bits(stack.assign[k], g_next.assign)
+        want = input_features(g_next, dep.cap)
+        for block in ("cell_rate", "cell_cap", "ue"):
+            assert same_bits(getattr(feats, block)[k], getattr(want, block)), (action, block)
+        assert same_bits(a_ue[k], ue_adjacency(g_next))
+
+
+def test_after_states_checks_every_action_as_connect_does():
+    g = make_graph(3, [0, None, None])
+    assign = g.assign.copy()
+    for actions, match in [([(1, 1), (3, 2)], "cell index 3 out of range"),
+                           ([(-1, 1)], "cell index -1 out of range"),
+                           ([(1, 1), (0, 3), (0, 0)], "UE index 3 out of range"),
+                           ([(0, -1)], "UE index -1 out of range"),
+                           ([(1, 2), (2, 0), (5, 1)], "UE 0 already connected to cell 0")]:
+        with pytest.raises(ValueError, match=match):
+            after_states(g, actions)
+    assert same_bits(g.assign, assign)
 
 
 def test_rates_share_capacity_evenly():
