@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from cellconn.dqn import TrainConfig, deployment_state, greedy_rollout, train
 from cellconn.gnn import load_model, save_model
 from cellconn.metrics import coverage, jain_index, sum_throughput
-from cellconn.netmodel import Deployment, RadioConfig, generate_deployment, save_deployment
+from cellconn.netmodel import (Deployment, RadioConfig, generate_deployment, is_number,
+                               save_deployment)
 from cellconn.xapp import max_rsrp_graph, parse_endpoint, serve
 
 # Eval deployments sit far from the training seed range so sweeps never
@@ -76,9 +77,11 @@ class ExperimentConfig:
         return 1.5 * math.sqrt(3.0) * r * r / 1e6
 
 
-# JSON value types accepted for the scalar field annotations of the configs
-# (and for the entries of their tuple fields, which JSON spells as lists).
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "None": type(None)}
+# JSON values accepted for the scalar field annotations of the configs (and
+# for the entries of their tuple fields, which JSON spells as lists).  A float
+# field takes an integer too, if ``float`` converts it; no field takes a bool.
+_JSON_TYPES = {"int": lambda v: type(v) is int, "float": is_number,
+               "str": lambda v: isinstance(v, str), "None": lambda v: v is None}
 
 
 def _build(cls, doc: dict, path: str):
@@ -94,8 +97,8 @@ def _build(cls, doc: dict, path: str):
         item = hint.removeprefix("tuple[").removesuffix(", ...]")
         items, want = ([value], hint) if item == hint else (value, f"a list of {item}")
         kinds = [_JSON_TYPES.get(t) for t in item.split(" | ")]
-        if not isinstance(items, list) or None not in kinds and any(
-                isinstance(v, bool) or not isinstance(v, tuple(kinds)) for v in items):
+        if not isinstance(items, list) or None not in kinds and not all(
+                any(ok(v) for ok in kinds) for v in items):
             raise UsageError(f"{path}: {key} must be {want}, got {value!r}")
         kwargs[key] = value if item == hint else tuple(value)
     try:

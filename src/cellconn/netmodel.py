@@ -34,10 +34,13 @@ def is_number(x) -> bool:
 
 
 def read_json_object(path: str, keys: tuple[str, ...]) -> dict:
-    """The JSON object in ``path``; ValueError naming the file unless its top
-    level is an object that holds every one of ``keys``."""
+    """The JSON object in ``path``; ValueError naming the file unless it is UTF-8
+    JSON whose top level is an object that holds every one of ``keys``."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: the top level must be a JSON object, got {type(doc).__name__}")
     missing = [k for k in keys if k not in doc]
@@ -112,9 +115,10 @@ class Deployment:
     report_cells: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pl = pathloss_db(distance_3d_m(self), self.radio.carrier_ghz)
-        rsrp = self.radio.tx_power_dbm - pl - self.shadow_db
-        cap = np.log2(1.0 + snr_linear(rsrp, self.radio))
+        with np.errstate(over="ignore"):  # an overflow is reported by the finite check below
+            pl = pathloss_db(distance_3d_m(self), self.radio.carrier_ghz)
+            rsrp = self.radio.tx_power_dbm - pl - self.shadow_db
+            cap = np.log2(1.0 + snr_linear(rsrp, self.radio))
         k = min(self.radio.report_set_size, self.n_cells)
         if not (np.isfinite(rsrp).all() and np.isfinite(cap).all()):
             raise ValueError(f"deployment {self.seed}: RSRP and capacity must be finite")
@@ -285,7 +289,7 @@ def load_deployment(path: str) -> Deployment:
     with every key that ``save_deployment`` writes, ``seed`` is an integer, ``hex_diameter_m``
     a finite number > 0, ``radio`` an object that ``RadioConfig`` takes, and cells, ues,
     shadow_db finite (n, 2), (m, 2), (n, m) arrays of numbers, and the ``Deployment`` they
-    make has a finite RSRP map and capacity matrix."""
+    make has a finite RSRP map and capacity matrix.  Every message starts with ``path``."""
     doc = read_json_object(path, ("seed", "hex_diameter_m", "radio", "cells", "ues", "shadow_db"))
     seed, diameter, radio = doc["seed"], doc["hex_diameter_m"], doc["radio"]
     if type(seed) is not int:
@@ -296,12 +300,14 @@ def load_deployment(path: str) -> Deployment:
     if not (isinstance(radio, dict) and radio.keys() <= keys):
         raise ValueError(f"{path}: radio must be an object with keys among {sorted(keys)}, "
                          f"got {radio!r}")
-    radio = RadioConfig(**radio)
     cells, ues, shadow = (number_array(doc[k], f"{path}: {k}") for k in ("cells", "ues", "shadow_db"))
     if (cells.shape[1:] != (2,) or ues.shape[1:] != (2,)
             or shadow.shape != (len(cells), len(ues))
             or not all(np.isfinite(a).all() for a in (cells, ues, shadow))):
         raise ValueError(f"{path}: cells, ues and shadow_db must be finite (n, 2), (m, 2) "
                          f"and (n, m) arrays, got {cells.shape}, {ues.shape}, {shadow.shape}")
-    return Deployment(seed=seed, hex_diameter_m=float(diameter),
-                      radio=radio, cells=cells, ues=ues, shadow_db=shadow)
+    try:  # the checks of RadioConfig and Deployment themselves
+        return Deployment(seed=seed, hex_diameter_m=float(diameter), radio=RadioConfig(**radio),
+                          cells=cells, ues=ues, shadow_db=shadow)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import json
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cellconn.graph import UNASSIGNED, ConnectionGraph
 from cellconn.netmodel import (Deployment, RadioConfig, distance_3d_m,
@@ -53,3 +60,55 @@ def deployment_with_rsrp(target_rsrp_dbm, cells=None, ues=None,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# JSON values a loader must refuse or survive: bools, strings, null, numbers
+# beyond the float range, NaN and infinities, large integers, and lists and
+# objects where a scalar belongs.  A large integer fails at once where a loader
+# would allocate from it (a model of width 10**6 asks for 29 TiB); none is drawn
+# where a lost check would loop over it instead (see ``mutated``).
+HOSTILE = (True, False, None, "", "1", 10 ** 400, -10 ** 400, math.nan, math.inf, -math.inf,
+           2 ** 63, 10 ** 6, -1, 0, 1e308, -1e308, [], [[]], [[1.0], 2.0], {}, {"k": [1]})
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) below ``doc``, through objects and lists."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+def saved_doc(save, obj) -> dict:
+    """The JSON document that ``save(obj, path)`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        save(obj, path)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+
+
+@st.composite
+def mutated(draw, doc: dict, counts: tuple[str, ...] = ()) -> dict:
+    """``doc`` with one mutation: one value anywhere replaced by a ``HOSTILE`` one,
+    one object key deleted, or one unknown key added to an object.  A key in
+    ``counts`` is a loop count: it never gets a large integer."""
+    doc = copy.deepcopy(doc)
+    kind = draw(st.sampled_from(("replace", "delete", "add")))
+    if kind == "add":
+        objects = [()] + [p for p, v in _nodes(doc) if isinstance(v, dict)]
+        path, key = draw(st.sampled_from(objects)), "unknown_key"
+        value = draw(st.sampled_from(HOSTILE))
+    else:
+        paths = [p for p, _ in _nodes(doc) if kind == "replace" or isinstance(p[-1], str)]
+        *path, key = draw(st.sampled_from(paths))
+        value = draw(st.sampled_from([v for v in HOSTILE if key not in counts
+                                      or not (type(v) is int and v > 100)]))
+    parent = doc
+    for k in path:
+        parent = parent[k]
+    if kind == "delete":
+        del parent[key]
+    else:
+        parent[key] = value
+    return doc

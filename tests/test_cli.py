@@ -1,6 +1,7 @@
 """Command-line workflow tests: config handling, artifacts, sweeps, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import cellconn
 from cellconn import cli
@@ -27,6 +29,8 @@ from cellconn.graph import capacity_matrix
 from cellconn.metrics import coverage, jain_index, sum_throughput
 from cellconn.netmodel import generate_deployment, save_deployment
 from cellconn.xapp import max_rsrp_graph
+
+from conftest import mutated
 
 
 def write_config(tmp_path, doc, name="cfg.json") -> str:
@@ -160,6 +164,9 @@ def test_config_rejects_wrong_types_and_invalid_train_values(tmp_path, capsys):
     {"train": {"lambda_fair": float("inf")}},
     {"train": {"episodes_per_deployment": 0}},  # would save the untrained weights
     {"train": {"edge_threshold_db": float("nan")}},  # no model file could carry it
+    {"train": {"lambda_fair": 10 ** 400}},  # beyond the float range: was an OverflowError
+    {"train": {"edge_threshold_db": -10 ** 400}},
+    {"hex_diameter_m": 10 ** 400},         # loaded, then overflowed in generate
     {"seed": -1},                          # numpy seeds only with non-negative integers
 ], ids=repr)
 def test_config_rejects_values_the_code_cannot_use(tmp_path, doc):
@@ -167,6 +174,23 @@ def test_config_rejects_values_the_code_cannot_use(tmp_path, doc):
     with pytest.raises(UsageError):
         load_config(path, None)
     assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
+
+
+FULL_CONFIG = {**{k: list(v) if isinstance(v, tuple) else v
+                  for k, v in dataclasses.asdict(ExperimentConfig()).items()},
+               "density_list": [12.5],
+               "train": {k: v for k, v in dataclasses.asdict(TrainConfig()).items() if k != "seed"}}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated(FULL_CONFIG))
+def test_load_config_survives_any_one_mutation(tmp_path, doc):
+    # one hostile value, deleted key or added key: a config or a UsageError
+    try:
+        load_config(write_config(tmp_path, doc), None)
+    except UsageError:
+        pass
 
 
 def test_config_rejects_train_seed(tmp_path, capsys):

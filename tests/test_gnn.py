@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cellconn.gnn as gnn
@@ -20,7 +20,7 @@ from cellconn.graph import (UNASSIGNED, ConnectionGraph, NodeFeatures, after_sta
                             input_features, ue_adjacency)
 from cellconn.netmodel import generate_deployment
 
-from conftest import make_graph
+from conftest import make_graph, mutated, saved_doc
 
 
 def ones_params(n_layers: int = 2, width: int = 1) -> GnnParams:
@@ -531,6 +531,20 @@ def test_model_shapes_are_checked_before_allocating(tmp_path):
     path.write_text(json.dumps(dict(json.loads(path.read_text()), width=10 ** 6)))
     with pytest.raises(ValueError, match="shapes"):
         load_model(str(path))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated(saved_doc(save_model, init_params(0, 2, 3, 0.5)), counts=("layers",)))
+def test_load_model_survives_any_one_mutation(tmp_path, doc):
+    # one hostile value, deleted key or added key: finite weights or a ValueError
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        p = load_model(str(path))
+    except ValueError:
+        return
+    assert np.isfinite(p.vec).all() and not math.isnan(p.edge_threshold_db)
 
 
 def test_model_bad_version_errors(tmp_path):

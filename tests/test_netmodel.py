@@ -3,9 +3,12 @@
 import dataclasses
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from cellconn.netmodel import (CELL_HEIGHT_M, UE_HEIGHT_M, Deployment,
                                MeasurementReport, PlacementError, RadioConfig,
@@ -14,7 +17,7 @@ from cellconn.netmodel import (CELL_HEIGHT_M, UE_HEIGHT_M, Deployment,
                                measurement_report, pathloss_db, rsrp_dbm,
                                rsrp_matrix_dbm, save_deployment, snr_linear)
 
-from conftest import deployment_with_rsrp, make_deployment
+from conftest import deployment_with_rsrp, make_deployment, mutated, saved_doc
 
 # Frozen by straight-line evaluation of the link-budget formulas:
 #   32.4 + 21*log10(8.5) + 20*log10(30)  and  -174 + 10*log10(1e8) + 7
@@ -223,8 +226,29 @@ def test_load_deployment_rejects_a_non_finite_rsrp_map_or_capacity(tmp_path):
     for bad in (dict(good, radio=dict(good["radio"], tx_power_dbm=1e308)),  # SNR overflows
                 dict(good, cells=far)):  # infinite path loss: RSRP -inf
         path.write_text(json.dumps(bad), encoding="utf-8")
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
-            load_deployment(str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning is not the report
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*must be finite"):
+                load_deployment(str(path))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated(saved_doc(save_deployment, generate_deployment(42, 3, 4))))
+def test_load_deployment_survives_any_one_mutation(tmp_path, doc):
+    # one hostile value, deleted key or added key: a finite deployment, or a
+    # ValueError that names the file, and never a numpy warning
+    path = tmp_path / "dep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            dep = load_deployment(str(path))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            return
+    for a in (dep.cells, dep.ues, dep.shadow_db, dep.rsrp_dbm, dep.cap):
+        assert a.dtype == float and np.isfinite(a).all()
 
 
 def test_report_set_size_below_one_rejected(tmp_path):
@@ -265,6 +289,14 @@ def test_radio_values_the_model_cannot_use_rejected(tmp_path):
         path.write_text(json.dumps(dict(doc, radio=dict(doc["radio"], **{key: bad}))),
                         encoding="utf-8")
         with pytest.raises(ValueError, match=match):
+            load_deployment(str(path))
+
+
+def test_load_deployment_names_the_file_that_is_not_json(tmp_path):
+    path = tmp_path / "dep.json"
+    for data in (b'{"seed": 1,', b'\xff{}'):  # cut short; not UTF-8
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_deployment(str(path))
 
 
