@@ -73,7 +73,8 @@ HOSTILE = (True, False, None, "", "1", 10 ** 400, -10 ** 400, math.nan, math.inf
 
 def _nodes(doc, path=()):
     """Every (path, value) below ``doc``, through objects and lists."""
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
     for key, value in items:
         yield path + (key,), value
         yield from _nodes(value, path + (key,))
