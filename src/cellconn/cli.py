@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import math
 import os
 import statistics
@@ -20,8 +19,8 @@ from dataclasses import dataclass, field
 from cellconn.dqn import TrainConfig, deployment_state, greedy_rollout, train
 from cellconn.gnn import load_model, save_model
 from cellconn.metrics import coverage, jain_index, sum_throughput
-from cellconn.netmodel import (Deployment, RadioConfig, generate_deployment, is_number,
-                               save_deployment)
+from cellconn.netmodel import (Deployment, RadioConfig, build, generate_deployment,
+                               read_json_object, save_deployment)
 from cellconn.xapp import max_rsrp_graph, parse_endpoint, serve
 
 # Eval deployments sit far from the training seed range so sweeps never
@@ -77,57 +76,26 @@ class ExperimentConfig:
         return 1.5 * math.sqrt(3.0) * r * r / 1e6
 
 
-# JSON values accepted for the scalar field annotations of the configs (and
-# for the entries of their tuple fields, which JSON spells as lists).  A float
-# field takes an integer too, if ``float`` converts it; no field takes a bool.
-_JSON_TYPES = {"int": lambda v: type(v) is int, "float": is_number,
-               "str": lambda v: isinstance(v, str), "None": lambda v: v is None}
-
-
-def _build(cls, doc: dict, path: str):
-    if not isinstance(doc, dict):
-        raise UsageError(f"{path}: a config section must be a JSON object, got {doc!r}")
-    hints = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(doc) - set(hints)
-    if unknown:
-        raise UsageError(f"{path}: unknown config keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in doc.items():
-        hint = hints[key]
-        item = hint.removeprefix("tuple[").removesuffix(", ...]")
-        items, want = ([value], hint) if item == hint else (value, f"a list of {item}")
-        kinds = [_JSON_TYPES.get(t) for t in item.split(" | ")]
-        if not isinstance(items, list) or None not in kinds and not all(
-                any(ok(v) for ok in kinds) for v in items):
-            raise UsageError(f"{path}: {key} must be {want}, got {value!r}")
-        kwargs[key] = value if item == hint else tuple(value)
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:  # a value the class itself refuses
-        raise UsageError(f"{path}: {exc}") from None
-
-
 def config_from_dict(doc: dict, path: str = "<config>") -> ExperimentConfig:
-    if isinstance(doc, dict):  # _build refuses anything else
-        if isinstance(doc.get("train"), dict) and "seed" in doc["train"]:
-            raise UsageError(f"{path}: train.seed is not read; set the top-level \"seed\"")
-        sections = {"radio": RadioConfig, "train": TrainConfig}
-        doc = {k: _build(sections[k], v, path) if k in sections else v for k, v in doc.items()}
-    return _build(ExperimentConfig, doc, path)
+    sections = {"radio": RadioConfig, "train": TrainConfig}
+    try:
+        if isinstance(doc, dict):  # build refuses anything else
+            if isinstance(doc.get("train"), dict) and "seed" in doc["train"]:
+                raise UsageError(f"{path}: train.seed is not read; set the top-level \"seed\"")
+            doc = {k: build(sections[k], v, path) if k in sections else v for k, v in doc.items()}
+        return build(ExperimentConfig, doc, path)
+    except ValueError as exc:  # every message starts with the path
+        raise UsageError(str(exc)) from None
 
 
 def load_config(path: str | None, seed: int | None) -> ExperimentConfig:
-    if path is None:
-        cfg = ExperimentConfig()
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path} is not valid JSON: {exc}") from exc
-        cfg = config_from_dict(doc, path)
+    try:
+        cfg = (ExperimentConfig() if path is None
+               else config_from_dict(read_json_object(path, ()), path))
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8 JSON or not an object; the message names the file
+        raise UsageError(str(exc)) from None
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     return cfg

@@ -49,6 +49,40 @@ def read_json_object(path: str, keys: tuple[str, ...]) -> dict:
     return doc
 
 
+# JSON values accepted for the scalar field annotations of a dataclass (and for
+# the entries of its tuple fields, which JSON spells as lists).  A float field
+# takes an integer too, if ``float`` converts it; no field takes a bool; a field
+# of any other annotation takes its value as it is.
+_JSON_TYPES = {"int": lambda v: type(v) is int, "float": is_number,
+               "str": lambda v: isinstance(v, str), "None": lambda v: v is None}
+
+
+def build(cls, doc, path: str):
+    """``cls`` built from the JSON object ``doc`` read from ``path``; ValueError starting
+    with ``path`` unless ``doc`` is an object whose keys are among ``cls``'s init fields,
+    each value has its field's JSON type, and ``cls`` itself accepts the values."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {cls.__name__} must be a JSON object, got {doc!r}")
+    hints = {f.name: f.type for f in fields(cls) if f.init}
+    unknown = set(doc) - set(hints)
+    if unknown:
+        raise ValueError(f"{path}: unknown {cls.__name__} keys {sorted(unknown)}")
+    kwargs = {}
+    for key, value in doc.items():
+        hint = hints[key]
+        item = hint.removeprefix("tuple[").removesuffix(", ...]")
+        items, want = ([value], hint) if item == hint else (value, f"a list of {item}")
+        kinds = [_JSON_TYPES.get(t) for t in item.split(" | ")]
+        if not isinstance(items, list) or None not in kinds and not all(
+                any(ok(v) for ok in kinds) for v in items):
+            raise ValueError(f"{path}: {key} must be {want}, got {value!r}")
+        kwargs[key] = value if item == hint else tuple(value)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a value the class itself refuses
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def number_array(x, what: str) -> np.ndarray:
     """Nested lists of JSON numbers as a float array; ValueError naming ``what`` if any
     entry is a bool, a string or anything else that ``float`` would coerce."""
@@ -101,7 +135,9 @@ class Deployment:
         report_cells: (n_ues, k) cells of each UE's measurement report,
             k = min(report_set_size, n_cells), by falling RSRP with exact
             ties to the lower cell index.  Derived on construction, read-only.
-    Construction raises ValueError unless ``rsrp_dbm`` and ``cap`` are finite.
+    Construction raises ValueError unless ``hex_diameter_m`` is finite and > 0,
+    cells, ues and shadow_db are finite (n, 2), (m, 2), (n, m) arrays with
+    n, m >= 1, and ``rsrp_dbm`` and ``cap`` are finite.
     """
 
     seed: int
@@ -115,6 +151,13 @@ class Deployment:
     report_cells: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        cells, ues, shadow = arrays = (self.cells, self.ues, self.shadow_db)
+        if not (0 < self.hex_diameter_m < math.inf and cells.shape[1:] == ues.shape[1:] == (2,)
+                and shadow.shape == (len(cells), len(ues)) and shadow.size  # len(): both 2-D
+                and all(np.isfinite(a).all() for a in arrays)):
+            raise ValueError(f"deployment {self.seed}: need a finite hex_diameter_m > 0 and finite "
+                             f"(n, 2), (m, 2), (n, m) cells, ues, shadow_db with n, m >= 1, got "
+                             f"{self.hex_diameter_m!r}, {', '.join(str(a.shape) for a in arrays)}")
         with np.errstate(over="ignore"):  # an overflow is reported by the finite check below
             pl = pathloss_db(distance_3d_m(self), self.radio.carrier_ghz)
             rsrp = self.radio.tx_power_dbm - pl - self.shadow_db
@@ -194,9 +237,7 @@ def generate_deployment(seed: int, n_cells: int, n_ues: int,
             a radio that makes RSRP or capacity not finite.
         PlacementError: separation constraint infeasible.
     """
-    if n_cells < 1 or n_ues < 1:
-        raise ValueError(f"need at least one cell and one UE, got {n_cells}/{n_ues}")
-    if not 0 < hex_diameter_m < math.inf:
+    if not 0 < hex_diameter_m < math.inf:  # the sampler's bounds, before the first draw
         raise ValueError(f"hex_diameter_m must be positive and finite, got {hex_diameter_m}")
     radio = radio or RadioConfig()
     rng = np.random.default_rng(seed)
@@ -286,28 +327,9 @@ def save_deployment(dep: Deployment, path: str) -> None:
 
 def load_deployment(path: str) -> Deployment:
     """Read a file written by ``save_deployment``; raises ValueError unless it holds an object
-    with every key that ``save_deployment`` writes, ``seed`` is an integer, ``hex_diameter_m``
-    a finite number > 0, ``radio`` an object that ``RadioConfig`` takes, and cells, ues,
-    shadow_db finite (n, 2), (m, 2), (n, m) arrays of numbers, and the ``Deployment`` they
-    make has a finite RSRP map and capacity matrix.  Every message starts with ``path``."""
+    with every key that ``save_deployment`` writes and no other, cells, ues and shadow_db
+    are arrays of numbers, and ``build`` makes a ``RadioConfig`` of ``radio`` and a
+    ``Deployment`` of the whole.  Every message starts with ``path``."""
     doc = read_json_object(path, ("seed", "hex_diameter_m", "radio", "cells", "ues", "shadow_db"))
-    seed, diameter, radio = doc["seed"], doc["hex_diameter_m"], doc["radio"]
-    if type(seed) is not int:
-        raise ValueError(f"{path}: seed must be an integer, got {seed!r}")
-    if not (is_number(diameter) and 0 < diameter < math.inf):
-        raise ValueError(f"{path}: hex_diameter_m must be a finite number > 0, got {diameter!r}")
-    keys = {f.name for f in fields(RadioConfig)}
-    if not (isinstance(radio, dict) and radio.keys() <= keys):
-        raise ValueError(f"{path}: radio must be an object with keys among {sorted(keys)}, "
-                         f"got {radio!r}")
-    cells, ues, shadow = (number_array(doc[k], f"{path}: {k}") for k in ("cells", "ues", "shadow_db"))
-    if (cells.shape[1:] != (2,) or ues.shape[1:] != (2,)
-            or shadow.shape != (len(cells), len(ues))
-            or not all(np.isfinite(a).all() for a in (cells, ues, shadow))):
-        raise ValueError(f"{path}: cells, ues and shadow_db must be finite (n, 2), (m, 2) "
-                         f"and (n, m) arrays, got {cells.shape}, {ues.shape}, {shadow.shape}")
-    try:  # the checks of RadioConfig and Deployment themselves
-        return Deployment(seed=seed, hex_diameter_m=float(diameter), radio=RadioConfig(**radio),
-                          cells=cells, ues=ues, shadow_db=shadow)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    doc |= {k: number_array(doc[k], f"{path}: {k}") for k in ("cells", "ues", "shadow_db")}
+    return build(Deployment, dict(doc, radio=build(RadioConfig, doc["radio"], path)), path)

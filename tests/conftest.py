@@ -90,12 +90,19 @@ def saved_doc(save, obj) -> dict:
 
 
 @st.composite
-def mutated(draw, doc: dict, counts: tuple[str, ...] = ()) -> dict:
-    """``doc`` with one mutation: one value anywhere replaced by a ``HOSTILE`` one,
-    one object key deleted, or one unknown key added to an object.  A key in
-    ``counts`` is a loop count: it never gets a large integer."""
+def mutated(draw, doc: dict, counts: tuple[str, ...] = ()) -> tuple[bytes, bool]:
+    """The bytes of a file holding ``doc`` with one mutation, and whether they are
+    still JSON.  The document mutations replace one value anywhere by a ``HOSTILE``
+    one, delete one object key or add one unknown key to an object; a key in
+    ``counts`` is a loop count, which never gets a large integer.  The byte
+    corruptions cut the file short (before its closing brace) or insert a 0xff
+    byte, which UTF-8 never holds."""
+    kind = draw(st.sampled_from(("replace", "delete", "add", "truncate", "insert 0xff")))
+    if kind in ("truncate", "insert 0xff"):
+        data = json.dumps(doc).encode()
+        at = draw(st.integers(0, len(data) - (kind == "truncate")))
+        return data[:at] + (b"" if kind == "truncate" else b"\xff" + data[at:]), False
     doc = copy.deepcopy(doc)
-    kind = draw(st.sampled_from(("replace", "delete", "add")))
     if kind == "add":
         objects = [()] + [p for p, v in _nodes(doc) if isinstance(v, dict)]
         path, key = draw(st.sampled_from(objects)), "unknown_key"
@@ -112,4 +119,4 @@ def mutated(draw, doc: dict, counts: tuple[str, ...] = ()) -> dict:
         del parent[key]
     else:
         parent[key] = value
-    return doc
+    return json.dumps(doc).encode(), True

@@ -87,18 +87,18 @@ def test_config_nested_radio(tmp_path):
 
 
 def test_config_rejects_unknown_keys(tmp_path):
-    with pytest.raises(UsageError, match="unknown config keys"):
+    with pytest.raises(UsageError, match=r"unknown ExperimentConfig keys \['cells'\]"):
         load_config(write_config(tmp_path, {"cells": [2]}), None)
-    with pytest.raises(UsageError, match="unknown config keys"):
+    with pytest.raises(UsageError, match=r"unknown TrainConfig keys \['alhpa'\]"):
         load_config(write_config(tmp_path, micro_doc(train={"alhpa": 0.1})), None)
     # training always regenerates its deployments from the seed
     path = write_config(tmp_path, micro_doc(deployments_dir=str(tmp_path)))
-    with pytest.raises(UsageError, match="unknown config keys"):
+    with pytest.raises(UsageError, match=r"unknown ExperimentConfig keys \['deployments_dir'\]"):
         load_config(path, None)
     assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
     # cell adjacency is fixed at graph.DEFAULT_D_MAX_M
     path = write_config(tmp_path, micro_doc(train={"d_max_m": 250.0}))
-    with pytest.raises(UsageError, match="unknown config keys"):
+    with pytest.raises(UsageError, match=r"unknown TrainConfig keys \['d_max_m'\]"):
         load_config(path, None)
     assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
 
@@ -184,13 +184,28 @@ FULL_CONFIG = {**{k: list(v) if isinstance(v, tuple) else v
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=mutated(FULL_CONFIG))
-def test_load_config_survives_any_one_mutation(tmp_path, doc):
-    # one hostile value, deleted key or added key: a config or a UsageError
+@given(case=mutated(FULL_CONFIG))
+def test_load_config_survives_any_one_mutation(tmp_path, case):
+    # one hostile value, deleted key or added key: a config, or a UsageError
+    # that names the file; a file cut short or not UTF-8: that UsageError
+    data, is_json = case
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
     try:
-        load_config(write_config(tmp_path, doc), None)
-    except UsageError:
-        pass
+        load_config(str(path), None)
+    except UsageError as exc:
+        assert str(exc).startswith(f"{path}: "), exc
+        return
+    assert is_json, "a corrupt file loaded"
+
+
+@pytest.mark.parametrize("data", [b'{"n_cells_list": [2],', b"\xff{}"], ids=["cut", "0xff"])
+def test_a_config_that_is_not_json_exits_1_and_names_the_file(tmp_path, capsys, data):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert f"error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_rejects_train_seed(tmp_path, capsys):

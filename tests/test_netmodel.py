@@ -218,6 +218,21 @@ def test_load_deployment_rejects_bad_shapes_and_non_finite_values(tmp_path):
             load_deployment(str(path))
 
 
+def test_a_hand_built_deployment_gets_the_checks_of_a_loaded_one():
+    good = generate_deployment(42, 3, 4)
+    nan_cells = good.cells.copy()
+    nan_cells[1, 0] = math.nan
+    for bad in (dict(cells=good.cells[:, 0]), dict(cells=np.array(5.0)),  # not 2-D
+                dict(ues=good.ues[..., None]), dict(shadow_db=good.shadow_db.ravel()),
+                dict(cells=np.empty((0, 2)), shadow_db=np.empty((0, 4))),  # no cell
+                dict(ues=np.empty((0, 2)), shadow_db=np.empty((3, 0))),  # no UE
+                dict(shadow_db=good.shadow_db.T), dict(cells=nan_cells),
+                dict(hex_diameter_m=0.0), dict(hex_diameter_m=math.inf),
+                dict(hex_diameter_m=math.nan)):
+        with pytest.raises(ValueError, match="^deployment 42: need a finite hex_diameter_m"):
+            dataclasses.replace(good, **bad)
+
+
 def test_load_deployment_rejects_a_non_finite_rsrp_map_or_capacity(tmp_path):
     path = tmp_path / "dep.json"
     save_deployment(generate_deployment(42, 6, 30), str(path))
@@ -234,12 +249,14 @@ def test_load_deployment_rejects_a_non_finite_rsrp_map_or_capacity(tmp_path):
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=mutated(saved_doc(save_deployment, generate_deployment(42, 3, 4))))
-def test_load_deployment_survives_any_one_mutation(tmp_path, doc):
+@given(case=mutated(saved_doc(save_deployment, generate_deployment(42, 3, 4))))
+def test_load_deployment_survives_any_one_mutation(tmp_path, case):
     # one hostile value, deleted key or added key: a finite deployment, or a
-    # ValueError that names the file, and never a numpy warning
+    # ValueError that names the file, and never a numpy warning; a file cut
+    # short or not UTF-8: that ValueError
+    data, is_json = case
     path = tmp_path / "dep.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_bytes(data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -247,6 +264,7 @@ def test_load_deployment_survives_any_one_mutation(tmp_path, doc):
         except ValueError as exc:
             assert str(exc).startswith(f"{path}: "), exc
             return
+    assert is_json, "a corrupt file loaded"
     for a in (dep.cells, dep.ues, dep.shadow_db, dep.rsrp_dbm, dep.cap):
         assert a.dtype == float and np.isfinite(a).all()
 
@@ -282,10 +300,11 @@ def test_radio_values_the_model_cannot_use_rejected(tmp_path):
     for key, bad, match in [("bandwidth_mhz", -1, "bandwidth_mhz=-1"),  # log10 in noise_dbm
                             ("report_set_size", 2.0, "report_set_size"),  # a slice bound
                             ("report_set_size", True, "report_set_size"),
-                            ("tx_power_dbm", True, "tx_power_dbm=True"),
-                            ("tx_power_dbm", "33", "tx_power_dbm='33'"),  # was a TypeError
-                            ("tx_power_dbm", 10 ** 400, "radio values must be finite numbers"),
-                            ("power_dbm", 33.0, "radio must be an object with keys")]:
+                            ("tx_power_dbm", True, "tx_power_dbm must be float, got True"),
+                            ("tx_power_dbm", "33", "tx_power_dbm must be float, got '33'"),
+                            ("tx_power_dbm", 10 ** 400,
+                             f"tx_power_dbm must be float, got {10 ** 400}"),
+                            ("power_dbm", 33.0, r"unknown RadioConfig keys \['power_dbm'\]")]:
         path.write_text(json.dumps(dict(doc, radio=dict(doc["radio"], **{key: bad}))),
                         encoding="utf-8")
         with pytest.raises(ValueError, match=match):
@@ -314,12 +333,14 @@ def test_deployment_file_values_are_not_coerced(tmp_path):
              ("hex_diameter_m", True, "hex_diameter_m"), ("hex_diameter_m", math.nan, "hex_diameter_m"),
              ("hex_diameter_m", -5, "hex_diameter_m"), ("hex_diameter_m", "500", "hex_diameter_m"),
              ("hex_diameter_m", 10 ** 400, "hex_diameter_m"),  # beyond the float range
-             ("radio", [], "radio must be an object")]
+             ("radio", [], r"RadioConfig must be a JSON object, got \[\]")]
     cases += [(key, with_entry(key, bad), "numbers")
               for key in ("cells", "ues", "shadow_db") for bad in (True, "1.5", 10 ** 400)]
     docs = [(dict(good, **{key: bad}), match) for key, bad, match in cases]
     docs += [([], "JSON object"),  # the top level must be an object, with every key
-             ({k: v for k, v in good.items() if k != "seed"}, "missing key 'seed'")]
+             ({k: v for k, v in good.items() if k != "seed"}, "missing key 'seed'"),
+             # and no other: a derived array is not an input
+             (dict(good, rsrp_dbm=good["shadow_db"]), r"unknown Deployment keys \['rsrp_dbm'\]")]
     for doc, match in docs:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValueError, match=match):
