@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections import deque
 from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property
@@ -60,8 +61,8 @@ class TrainConfig:
         if self.reward_kind not in REWARD_KINDS:
             raise ValueError(f"reward_kind must be one of {REWARD_KINDS}, "
                              f"got {self.reward_kind!r}")
-        if self.batch_size < 1 or self.buffer_size < self.batch_size:
-            raise ValueError(f"need buffer_size >= batch_size >= 1, got "
+        if not sys.maxsize >= self.buffer_size >= self.batch_size >= 1:  # a deque's largest maxlen
+            raise ValueError(f"need sys.maxsize >= buffer_size >= batch_size >= 1, got "
                              f"{self.buffer_size}/{self.batch_size}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
@@ -202,7 +203,7 @@ def sgd_step(p: GnnParams, batch: Sequence[Transition], alpha: float,
         raise DivergenceError(f"non-finite gradient (norm={norm})")
     if grad_clip_norm is not None and norm > grad_clip_norm:
         direction.vec *= grad_clip_norm / norm
-    return GnnParams(p.n_layers, p.width, p.vec + alpha * direction.vec), loss
+    return GnnParams(p.n_layers, p.width, p.vec + alpha * direction.vec, p.edge_threshold_db), loss
 
 
 @dataclass(frozen=True)
@@ -295,6 +296,7 @@ def train(cfg: TrainConfig, deployments: Iterable[Deployment]) -> tuple[GnnParam
         raise ValueError("no deployments to train on")
 
     p = init_params(cfg.seed, cfg.gnn_layers, cfg.gnn_width, cfg.init_std)
+    p.edge_threshold_db = cfg.edge_threshold_db
     rng = np.random.default_rng([cfg.seed, 1])
     buffer = ReplayBuffer(cfg.buffer_size)
     log = TrainLog()
@@ -311,7 +313,7 @@ def train(cfg: TrainConfig, deployments: Iterable[Deployment]) -> tuple[GnnParam
                 u_jain=jain_index(final),
                 epsilon_used=cfg.epsilon,
                 loss_mean=float(np.mean(losses)) if losses else float("nan")))
-    return GnnParams(p.n_layers, p.width, p.vec, cfg.edge_threshold_db), log
+    return p, log
 
 
 def greedy_rollout(p: GnnParams, state: EpisodeState) -> ConnectionGraph:

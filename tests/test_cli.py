@@ -168,6 +168,7 @@ def test_config_rejects_wrong_types_and_invalid_train_values(tmp_path, capsys):
     {"train": {"edge_threshold_db": -10 ** 400}},
     {"hex_diameter_m": 10 ** 400},         # loaded, then overflowed in generate
     {"seed": -1},                          # numpy seeds only with non-negative integers
+    {"train": {"buffer_size": 10 ** 400}},  # above a deque's largest maxlen: was an OverflowError
 ], ids=repr)
 def test_config_rejects_values_the_code_cannot_use(tmp_path, doc):
     path = write_config(tmp_path, micro_doc(**doc))

@@ -227,9 +227,11 @@ def test_td_target_scores_cached_inputs_with_the_current_weights():
 
 def test_sgd_step_alpha_zero_keeps_params():
     p = ones_params()
+    p.edge_threshold_db = 0.0  # the weights keep the threshold they are trained with
     q, loss = sgd_step(p, [scalar_transition(3.0)], alpha=0.0, gamma=1.0)
     for a, b in zip(p.arrays, q.arrays):
         assert np.array_equal(a, b)
+    assert q.edge_threshold_db == 0.0
     assert loss == pytest.approx((3.0 - SCALAR_Q) ** 2, rel=1e-12)
 
 
