@@ -157,15 +157,6 @@ class UeClass(enum.Enum):
 DEFAULT_EDGE_THRESHOLD_DB = 3.0
 
 
-def _edge_mask(dep: Deployment, threshold_db: float) -> np.ndarray:
-    """(n_ues,) bool: the gap between a UE's two strongest RSRP measurements
-    is below ``threshold_db``.  All False with a single cell."""
-    if dep.n_cells == 1:
-        return np.zeros(dep.n_ues, dtype=bool)
-    top2 = -np.partition(-dep.rsrp_dbm, 1, axis=0)[:2, :]
-    return top2[0] - top2[1] < threshold_db
-
-
 def classify_ues(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_DB) -> list[UeClass]:
     """Label each UE by the gap between its two strongest RSRP measurements.
 
@@ -173,7 +164,7 @@ def classify_ues(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_D
     cell-edge.  With a single cell every UE is cell-center.
     """
     return [UeClass.CELL_EDGE if edge else UeClass.CELL_CENTER
-            for edge in _edge_mask(dep, threshold_db)]
+            for edge in dep.rsrp_gap_db < threshold_db]
 
 
 def initial_graph(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_DB
@@ -184,7 +175,7 @@ def initial_graph(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_
     report (ties to the lower cell index); cell-edge UEs stay unassigned and
     are returned as the reshuffled set, in ascending UE order.
     """
-    edge = _edge_mask(dep, threshold_db)
+    edge = dep.rsrp_gap_db < threshold_db
     assign = np.where(edge, UNASSIGNED, dep.report_cells[:, 0]).astype(np.int64)
     g = ConnectionGraph(cell_adj=build_cell_graph(dep), assign=assign)
     return g, tuple(np.flatnonzero(edge).tolist())

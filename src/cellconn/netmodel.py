@@ -135,6 +135,9 @@ class Deployment:
         report_cells: (n_ues, k) cells of each UE's measurement report,
             k = min(report_set_size, n_cells), by falling RSRP with exact
             ties to the lower cell index.  Derived on construction, read-only.
+        rsrp_gap_db: (n_ues,) gap between each UE's two strongest RSRP
+            values, dB; +inf with a single cell.  Derived on construction,
+            read-only.
     Construction raises ValueError unless ``hex_diameter_m`` is finite and > 0,
     cells, ues and shadow_db are finite (n, 2), (m, 2), (n, m) arrays with
     n, m >= 1, and ``rsrp_dbm`` and ``cap`` are finite.
@@ -149,6 +152,7 @@ class Deployment:
     rsrp_dbm: np.ndarray = field(init=False, repr=False, compare=False)
     cap: np.ndarray = field(init=False, repr=False, compare=False)
     report_cells: np.ndarray = field(init=False, repr=False, compare=False)
+    rsrp_gap_db: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cells, ues, shadow = arrays = (self.cells, self.ues, self.shadow_db)
@@ -165,8 +169,11 @@ class Deployment:
         k = min(self.radio.report_set_size, self.n_cells)
         if not (np.isfinite(rsrp).all() and np.isfinite(cap).all()):
             raise ValueError(f"deployment {self.seed}: RSRP and capacity must be finite")
-        report = np.argsort(-rsrp, axis=0, kind="stable")[:k].T
-        for name, arr in (("rsrp_dbm", rsrp), ("cap", cap), ("report_cells", report)):
+        order = np.argsort(-rsrp, axis=0, kind="stable")
+        top2 = np.take_along_axis(rsrp, order[:2], axis=0)
+        gap = top2[0] - (top2[1] if len(top2) > 1 else -np.inf)
+        for name, arr in (("rsrp_dbm", rsrp), ("cap", cap), ("report_cells", order[:k].T),
+                          ("rsrp_gap_db", gap)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

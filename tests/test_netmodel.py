@@ -354,9 +354,12 @@ def test_stored_radio_arrays_match_closed_form_and_are_read_only():
     assert np.array_equal(dep.rsrp_dbm, rsrp)
     assert np.array_equal(dep.cap, np.log2(1.0 + snr_linear(rsrp, dep.radio)))
     assert rsrp_matrix_dbm(dep) is dep.rsrp_dbm
-    for arr in (dep.rsrp_dbm, dep.cap, dep.report_cells):
+    top2 = np.sort(rsrp, axis=0)[::-1][:2]
+    assert np.array_equal(dep.rsrp_gap_db, top2[0] - top2[1])
+    assert (generate_deployment(6, 1, 11).rsrp_gap_db == np.inf).all()  # no second cell
+    for arr in (dep.rsrp_dbm, dep.cap, dep.report_cells, dep.rsrp_gap_db):
         with pytest.raises(ValueError):
-            arr[0, 0] = 0
+            arr[(0,) * arr.ndim] = 0
 
 
 def test_replace_recomputes_stored_radio_arrays():
