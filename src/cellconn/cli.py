@@ -77,11 +77,11 @@ class ExperimentConfig:
 
 
 def config_from_dict(doc: dict, path: str = "<config>") -> ExperimentConfig:
+    if isinstance(doc, dict) and isinstance(doc.get("train"), dict) and "seed" in doc["train"]:
+        raise UsageError(f"{path}: train.seed is not read; set the top-level \"seed\"")
     sections = {"radio": RadioConfig, "train": TrainConfig}
     try:
         if isinstance(doc, dict):  # build refuses anything else
-            if isinstance(doc.get("train"), dict) and "seed" in doc["train"]:
-                raise UsageError(f"{path}: train.seed is not read; set the top-level \"seed\"")
             doc = {k: build(sections[k], v, path) if k in sections else v for k, v in doc.items()}
         return build(ExperimentConfig, doc, path)
     except ValueError as exc:  # every message starts with the path
