@@ -6,20 +6,9 @@ matrix and treat each cell's capacity as shared equally among its UEs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from cellconn.graph import ConnectionGraph, ue_rates
-
-
-@dataclass(frozen=True)
-class UtilityWeights:
-    """Weights of the scalarized network utility."""
-
-    throughput: float = 1.0
-    coverage: float = 1.0
-    fairness: float = 1.0
 
 
 def sum_throughput(g: ConnectionGraph, cap: np.ndarray) -> float:
@@ -58,22 +47,6 @@ def jain_index(g: ConnectionGraph) -> float:
     if total == 0:
         raise ValueError("fairness undefined: no UE is assigned")
     return float(total * total / (g.n_cells * np.square(loads).sum()))
-
-
-def utility(g: ConnectionGraph, cap: np.ndarray, w: UtilityWeights) -> float:
-    """Weighted sum of the three objectives; zero-weight terms are skipped.
-
-    Skipping matters mid-episode: with no assigned UEs, coverage/fairness
-    raise, but a zero weight means the term is never evaluated.
-    """
-    total = 0.0
-    if w.throughput != 0.0:
-        total += w.throughput * sum_throughput(g, cap)
-    if w.coverage != 0.0:
-        total += w.coverage * coverage(g, cap)
-    if w.fairness != 0.0:
-        total += w.fairness * jain_index(g)
-    return total
 
 
 def fair_bonus(g: ConnectionGraph, cap: np.ndarray, lam: float) -> float:

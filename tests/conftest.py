@@ -7,12 +7,14 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from cellconn.graph import UNASSIGNED, ConnectionGraph
+from cellconn.metrics import coverage, jain_index, sum_throughput
 from cellconn.netmodel import (Deployment, RadioConfig, distance_3d_m,
                                pathloss_db)
 
@@ -55,6 +57,31 @@ def deployment_with_rsrp(target_rsrp_dbm, cells=None, ues=None,
     pl = pathloss_db(distance_3d_m(dep), radio.carrier_ghz)
     shadow = radio.tx_power_dbm - pl - target
     return make_deployment(cells, ues, shadow, radio=radio)
+
+
+@dataclass(frozen=True)
+class UtilityWeights:
+    """Weights of the scalarized network utility."""
+
+    throughput: float = 1.0
+    coverage: float = 1.0
+    fairness: float = 1.0
+
+
+def utility(g: ConnectionGraph, cap: np.ndarray, w: UtilityWeights) -> float:
+    """Weighted sum of the three objectives; zero-weight terms are skipped.
+
+    Skipping matters mid-episode: with no assigned UEs, coverage/fairness
+    raise, but a zero weight means the term is never evaluated.
+    """
+    total = 0.0
+    if w.throughput != 0.0:
+        total += w.throughput * sum_throughput(g, cap)
+    if w.coverage != 0.0:
+        total += w.coverage * coverage(g, cap)
+    if w.fairness != 0.0:
+        total += w.fairness * jain_index(g)
+    return total
 
 
 @pytest.fixture

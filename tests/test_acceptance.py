@@ -30,13 +30,12 @@ from cellconn.dqn import TrainConfig, deployment_state, greedy_rollout, run_epis
 from cellconn.gnn import forward, init_params
 from cellconn.graph import (UNASSIGNED, ConnectionGraph, capacity_matrix,
                             input_features)
-from cellconn.metrics import (UtilityWeights, coverage, fair_bonus, jain_index,
-                              reward_fair, reward_throughput, sum_throughput,
-                              utility)
+from cellconn.metrics import (coverage, fair_bonus, jain_index, reward_fair,
+                              reward_throughput, sum_throughput)
 from cellconn.netmodel import generate_deployment
 from cellconn.xapp import max_rsrp_graph, serve_stream
 
-from conftest import make_graph
+from conftest import UtilityWeights, make_graph, utility
 from test_gnn import (finite_difference_check, random_instance, random_params,
                       zeros_params)
 

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from cellconn.graph import UNASSIGNED, capacity_matrix, connect
-from cellconn.metrics import (UtilityWeights, coverage, fair_bonus, jain_index,
-                              reward_fair, reward_throughput, sum_throughput,
-                              utility)
+from cellconn.metrics import (coverage, fair_bonus, jain_index, reward_fair,
+                              reward_throughput, sum_throughput)
 from cellconn.netmodel import generate_deployment
 
-from conftest import make_graph
+from conftest import UtilityWeights, make_graph, utility
 
 
 def test_throughput_shared_cell():
@@ -211,7 +210,7 @@ def test_reward_telescoping_from_empty(rng):
 
 
 def test_brute_force_utility_oracle_self_consistency(rng):
-    # Exhaustive enumeration over all N^M assignments: the module's utility
+    # Exhaustive enumeration over all N^M assignments: conftest's utility
     # must attain the same maximum as an independent straight-line scoring.
     w = UtilityWeights(1.0, 1.0, 1.0)
     for _ in range(5):
