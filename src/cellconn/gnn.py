@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cellconn.graph import (DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph, NodeFeatures,
-                            after_states, connect, input_features, ue_adjacency)
+                            attach_features, connect, input_features, ue_adjacency)
 from cellconn.netmodel import is_number, number_array, read_json_object
 
 MODEL_FORMAT_VERSION = 2  # version 1 files carry no threshold and load with the default
@@ -97,10 +97,12 @@ class Round:
 
 @dataclass
 class ForwardTrace:
-    """Everything ``backward`` needs: one ``Round`` per layer and the readout."""
+    """Everything ``backward`` needs: one ``Round`` per layer and the readout.
+    ``message`` is the first round's UE message if ``forward`` was given it."""
 
     a_cl: np.ndarray
     a_ue: np.ndarray
+    message: np.ndarray | None = None
     rounds: list[Round] = field(default_factory=list)
     pooled: np.ndarray | None = None
     z: np.ndarray | None = None
@@ -108,7 +110,7 @@ class ForwardTrace:
 
 
 def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
-            a_ue: np.ndarray | None = None) -> ForwardTrace:
+            a_ue: np.ndarray | None = None, message: np.ndarray | None = None) -> ForwardTrace:
     """Run the message-passing rounds and the readout head.
 
     Per round l (inputs x1, x2 over cells, xu over UEs):
@@ -117,10 +119,12 @@ def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
     Readout: score = relu(sum_rows(h_cl) w4) . w5
     The score reads only the last round's h_cl, so the last round computes no
     h_ue, and the round before it no xu'.  A_ue is ``a_ue``, or ``ue_adjacency(g)``.
+    A given ``message`` is the first round's x2' = A_ue relu(xu w3[0]), and
+    ``feats.ue`` is not read; ``backward`` refuses such a trace.
     ``g`` (or ``a_ue``) and the features may stack K graphs on a leading axis: every
     product then runs per graph, bit for bit, and ``score`` is a (K,) array, not a float.
     """
-    t = ForwardTrace(g.cell_adj, ue_adjacency(g) if a_ue is None else a_ue)
+    t = ForwardTrace(g.cell_adj, ue_adjacency(g) if a_ue is None else a_ue, message)
     x1, x2, xu = feats.cell_rate, feats.cell_cap, feats.ue
     for layer in range(p.n_layers):
         r = Round(x1, x2, x1 @ p.w1[layer], x2 @ p.w2[layer])
@@ -128,8 +132,12 @@ def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
         h_cl = _relu(r.u1) + _relu(r.u2)
         if layer + 1 == p.n_layers:  # the last round: its UE embeddings feed nothing
             break
-        r.xu, r.u3 = xu, xu @ p.w3[layer]
-        x1, x2 = t.a_cl @ h_cl, t.a_ue @ _relu(r.u3)
+        x1 = t.a_cl @ h_cl
+        if layer == 0 and message is not None:
+            x2 = message
+        else:
+            r.xu, r.u3 = xu, xu @ p.w3[layer]
+            x2 = t.a_ue @ _relu(r.u3)
         if layer + 2 < p.n_layers:  # xu' feeds only a UE branch
             xu = t.a_ue.swapaxes(-1, -2) @ h_cl
     t.pooled = h_cl.sum(axis=-2)
@@ -142,7 +150,15 @@ def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
 def backward(p: GnnParams, t: ForwardTrace) -> GnnParams:
     """Gradient of the scalar score w.r.t. every weight, from a forward trace,
     laid out as a GnnParams (d(score)/d(weight) in each weight's slot).  The
-    last round's ``w3`` is never read, and its slot stays zero."""
+    last round's ``w3`` is never read, and its slot stays zero.
+
+    Raises:
+        ValueError: ``t`` was given its first-round message, so it holds no
+            UE inputs for that round's gradient.
+    """
+    if t.message is not None:
+        raise ValueError("backward needs the first round's UE inputs; the trace was "
+                         "given its message instead")
     grad = GnnParams(p.n_layers, p.width)
     grad.w5[...] = _relu(t.z)
     g_z = p.w5 * (t.z > 0)
@@ -176,17 +192,26 @@ def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
                   actions: list[tuple[int, int]]) -> np.ndarray:
     """Q-values of the (cell, ue) actions, in their order: bit for bit the
     ``score_action`` of each, with every action checked as ``connect`` checks
-    it first.  Candidate k runs one ``forward`` on row k of the
-    ``input_features`` of the actions' ``after_states`` and one copy of
-    ``g``'s UE adjacency, with its entry (c, u) set for that call only.
+    it first.  Candidate k runs one ``forward`` on its after-state's cell blocks
+    from ``attach_features``, one copy of ``g``'s UE adjacency with its entry
+    (c, u) set, and one copy of ``g``'s first-round message with its row c set
+    to the sum over c's UEs and u in ascending order, as the product adds them;
+    the entry and the row are set for that call only.
     """
-    feats, a_ue = input_features(after_states(g, actions), cap), ue_adjacency(g)
+    feats, rows, action = attach_features(g, cap, actions)
+    a_ue, w = ue_adjacency(g), p.width
+    h = _relu(feats.ue @ p.w3[0])  # one (n_ues, 2) product per block, as forward computes it
+    message = a_ue @ h[0]
+    kept = message.copy()
+    summed = np.bincount((action[:, None] * w + np.arange(w)).ravel(),
+                         weights=h.reshape(-1, w)[rows].ravel(),
+                         minlength=len(actions) * w).reshape(-1, w)
     scores = np.empty(len(actions))
     for k, (cell, ue) in enumerate(actions):
-        a_ue[cell, ue] = 1.0
-        row = NodeFeatures(feats.cell_rate[k], feats.cell_cap[k], feats.ue[k])
-        scores[k] = forward(p, g, row, a_ue).score
-        a_ue[cell, ue] = 0.0
+        a_ue[cell, ue], message[cell] = 1.0, summed[k]
+        row = NodeFeatures(feats.cell_rate[k], feats.cell_cap[k], None)
+        scores[k] = forward(p, g, row, a_ue, message).score
+        a_ue[cell, ue], message[cell] = 0.0, kept[cell]
     return scores
 
 

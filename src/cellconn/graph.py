@@ -87,17 +87,63 @@ def connect(g: ConnectionGraph, cell: int, ue: int) -> ConnectionGraph:
     return replace(g, assign=assign)
 
 
-def after_states(g: ConnectionGraph, actions: list[tuple[int, int]]) -> ConnectionGraph:
-    """The stack of K graphs whose row k is ``connect(g, *actions[k])``, with
-    every action checked as ``connect`` checks it first: the first bad one raises."""
+def _checked_actions(g: ConnectionGraph, actions: list[tuple[int, int]]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The actions' cells and UEs as two index arrays, with every action checked
+    as ``connect`` checks it first: the first bad one raises."""
     cells, ues = np.array(actions, dtype=np.intp).reshape(-1, 2).T
     ok = (0 <= cells) & (cells < g.n_cells) & (0 <= ues) & (ues < g.n_ues)
     ok[ok] = g.assign[ues[ok]] == UNASSIGNED  # only an in-range UE indexes assign
     if not ok.all():
         _check_attach(g, *actions[np.argmin(ok)])
+    return cells, ues
+
+
+def after_states(g: ConnectionGraph, actions: list[tuple[int, int]]) -> ConnectionGraph:
+    """The stack of K graphs whose row k is ``connect(g, *actions[k])``, with
+    every action checked as ``connect`` checks it first: the first bad one raises."""
+    cells, ues = _checked_actions(g, actions)
     assign = np.repeat(g.assign[None], len(cells), axis=0)
     assign[np.arange(len(cells)), ues] = cells
     return replace(g, assign=assign)
+
+
+def attach_features(g: ConnectionGraph, cap: np.ndarray, actions: list[tuple[int, int]]
+                    ) -> tuple[NodeFeatures, np.ndarray, np.ndarray]:
+    """The after-states' inputs, built from ``g`` without their (K, n_ues) stack,
+    with every action checked as ``connect`` checks it first.
+
+    Returns ``(feats, rows, action)``.  Row k of ``feats.cell_rate`` and
+    ``feats.cell_cap`` (K, n_cells, 2) is bit for bit the block of
+    ``input_features(connect(g, *actions[k]), cap)``.  ``feats.ue`` is
+    (1 + T, n_ues, 2) over the T attached cells, ascending: block 0 is ``g``'s,
+    and block 1 + t is ``g``'s with the rows of cell t's UEs and of every UE
+    attached to it at t's load + 1, so those rows are each such after-state's.
+    ``rows`` lists the attached cell's UEs of each after-state in ascending
+    order, as indices into the (1 + T) * n_ues rows of ``feats.ue``, and
+    ``action`` the k of each entry.
+    """
+    cells, ues = _checked_actions(g, actions)
+    k, m = np.arange(len(cells)), g.n_ues
+    per_ue, per_cell = _rates(g, cap)
+    load = g.loads()
+    touched, t = np.unique(cells, return_inverse=True)
+    at_cell = g.assign == touched[:, None]
+    served = np.flatnonzero(at_cell) + m  # (1 + t) * m + UE, ascending
+    at_cell[t, ues] = True
+    rates = np.repeat(per_ue[None], 1 + len(touched), axis=0)
+    rates[1:][at_cell] = (cap[touched] / (load[touched, None] + 1.0))[at_cell]
+    # each action's cell's UEs (a run of ``served``), then its own UE; sorted by UE per action
+    size = load[cells]
+    start = np.searchsorted(served, (1 + t) * m) - np.cumsum(size) + size
+    rows = np.concatenate([served[np.repeat(start, size) + np.arange(size.sum())],
+                           (1 + t) * m + ues])
+    action = np.concatenate([np.repeat(k, size), k])
+    order = np.lexsort((rows, action))
+    rows, action = rows[order], action[order]
+    per_cell = np.repeat(per_cell[None], len(cells), axis=0)
+    per_cell[k, cells] = np.bincount(action, weights=rates.ravel()[rows], minlength=len(cells))
+    return _features(g.cell_adj, cap, per_cell, rates), rows, action
 
 
 def ue_adjacency(g: ConnectionGraph) -> np.ndarray:
@@ -139,12 +185,13 @@ class NodeFeatures:
         own served throughput].
     cell_cap: (n_cells, 2) columns [own served throughput, total capacity
         toward every UE].
-    ue: (n_ues, 2) columns [total capacity from every cell, own rate].
+    ue: (n_ues, 2) columns [total capacity from every cell, own rate]; None
+        where ``forward`` is given the first round's UE message instead.
     """
 
     cell_rate: np.ndarray
     cell_cap: np.ndarray
-    ue: np.ndarray
+    ue: np.ndarray | None
 
 
 class UeClass(enum.Enum):
@@ -193,7 +240,14 @@ def input_features(g: ConnectionGraph, cap: np.ndarray) -> NodeFeatures:
     training and inference time.
     """
     per_ue, per_cell = _rates(g, cap)
-    blocks = (((g.cell_adj @ per_cell[..., None])[..., 0], per_cell),
+    return _features(g.cell_adj, cap, per_cell, per_ue)
+
+
+def _features(cell_adj: np.ndarray, cap: np.ndarray, per_cell: np.ndarray,
+              per_ue: np.ndarray) -> NodeFeatures:
+    """The normalized blocks of cell throughputs ``per_cell`` and UE rates ``per_ue``,
+    each of one graph or of a stack on a leading axis (the two stacks may differ)."""
+    blocks = (((cell_adj @ per_cell[..., None])[..., 0], per_cell),
               (per_cell, cap.sum(axis=1)),
               (cap.sum(axis=0), per_ue))
     scale = cap.mean() + FEATURE_NORM_EPS

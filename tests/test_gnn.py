@@ -287,11 +287,11 @@ def stacked_scores(p, g, cap, actions):
 SCORERS = (score_actions, stacked_scores)
 
 
-def scores_equal_to_the_loop(p, g, cap, actions):
-    """``score_actions`` and the stacked pass of the actions, each asserted
-    equal to the ``score_action`` loop."""
+def scores_equal_to_the_loop(p, g, cap, actions, scorers=SCORERS):
+    """``score_actions`` and the stacked pass of the actions (or the given
+    scorers), each asserted equal to the ``score_action`` loop."""
     want = np.array([score_action(p, g, cap, c, u) for c, u in actions])
-    for scorer in SCORERS:
+    for scorer in scorers:
         got = scorer(p, g, cap, actions)
         assert got.shape == want.shape and (got == want).all(), scorer.__name__
     return want
@@ -314,6 +314,15 @@ def test_score_actions_equals_the_score_action_loop_exactly(n, m, n_layers):
         got = scores_equal_to_the_loop(p, g, dep.cap, actions)
         g = connect(g, *actions[int(np.argmax(got))])
     assert where == {"no UE", "before", "between", "after"}
+
+
+def test_score_actions_equals_the_score_action_loop_exactly_at_40_by_800():
+    # one greedy decision of a 2-layer model; the stacked pass is left out, as its
+    # (K, n_cells, n_ues) adjacency stack would take about 300 MB here
+    g, dep = emptied_state(40, 800)
+    actions = report_actions(g, dep)
+    assert len(actions) > 1000
+    scores_equal_to_the_loop(init_params(2, 2, 8, 0.5), g, dep.cap, actions, (score_actions,))
 
 
 def test_score_actions_of_no_action_and_of_a_taken_ue():
@@ -371,32 +380,49 @@ def test_score_actions_leaves_its_inputs_unchanged(n_layers):
         assert np.array_equal(scorer(p, g, dep.cap, report_actions(g, dep)), first)
 
 
-@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
 def test_score_actions_runs_forward_on_each_candidates_own_inputs(monkeypatch, n_layers):
-    # forward reads, bit for bit, what score_action builds for each candidate (in any order)
+    # one forward per candidate, on bit for bit the cell blocks, UE adjacency and
+    # first-round message of its after-state, and no UE block
     g, dep = emptied_state(6, 30)
     actions = report_actions(g, dep)
+    p = init_params(0, n_layers, 8, 0.5)
 
-    def inputs(feats, a_ue):
-        return (*(f.tobytes() for f in dataclasses.astuple(feats)), a_ue.tobytes())
+    def inputs(cell_rate, cell_cap, a_ue, message):
+        return tuple(a.tobytes() for a in (cell_rate, cell_cap, a_ue, message))
 
     seen = []
 
-    def recording(p, g_in, feats, a_ue=None):
-        assert g_in.cell_adj is g.cell_adj
-        seen.append(inputs(feats, a_ue))
-        return forward(p, g_in, feats, a_ue)
+    def recording(p, g_in, feats, a_ue=None, message=None):
+        assert g_in.cell_adj is g.cell_adj and feats.ue is None
+        seen.append(inputs(feats.cell_rate, feats.cell_cap, a_ue, message))
+        return forward(p, g_in, feats, a_ue, message)
 
     monkeypatch.setattr(gnn, "forward", recording)
-    score_actions(init_params(0, n_layers, 8, 0.5), g, dep.cap, actions)
-    want = [inputs(input_features(g_next, dep.cap), ue_adjacency(g_next))
-            for g_next in (connect(g, c, u) for c, u in actions)]
-    assert sorted(seen, key=repr) == sorted(want, key=repr)
+    score_actions(p, g, dep.cap, actions)
+    want = []
+    for g_next in (connect(g, c, u) for c, u in actions):
+        feats, a_ue = input_features(g_next, dep.cap), ue_adjacency(g_next)
+        message = a_ue @ np.maximum(feats.ue @ p.w3[0], 0.0)
+        want.append(inputs(feats.cell_rate, feats.cell_cap, a_ue, message))
+    assert seen == want
+
+
+def test_backward_refuses_a_trace_given_its_message(rng):
+    g, cap, feats = random_instance(rng)
+    p = random_params(rng)
+    t = forward(p, g, feats)
+    message = ue_adjacency(g) @ np.maximum(feats.ue @ p.w3[0], 0.0)
+    given = forward(p, g, dataclasses.replace(feats, ue=None), message=message)
+    assert given.score == t.score
+    with pytest.raises(ValueError, match="message"):
+        backward(p, given)
 
 
 def test_score_actions_memory_stays_one_ue_stack_at_20_by_200():
-    # the decision path holds one (K, n_ues, 2) candidate stack (1.05 MB here);
-    # a (K, n_cells, n_ues) adjacency stack would add about 20 MB
+    # the decision path holds the candidates' (K, n_cells, 2) cell blocks and one
+    # (n_ues, width) UE product per attached cell, under 1 MB here; a (K, n_ues, 2)
+    # stack adds 1.05 MB and a (K, n_cells, n_ues) adjacency stack about 20 MB
     p = init_params(0, 2, 8)
     s = deployment_state(generate_deployment(1_000_000, 20, 200), p)
     actions = legal_actions(s)
