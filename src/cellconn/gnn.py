@@ -237,30 +237,33 @@ def load_model(path: str) -> GnnParams:
     """Load a model file written by ``save_model``, of format 1 or 2.
 
     Raises:
-        ValueError: a top level that is not an object or lacks a key, unknown
-            format version, layers or width not an integer >= 1, a threshold
-            that is not a number or is NaN, weight lists or matrices of the
-            wrong length or shape, or weights that are not finite numbers.
+        ValueError, starting with ``path``: a top level that is not an object
+            or lacks a key, unknown format version, layers or width not an
+            integer >= 1, a threshold that is not a number or is NaN, weight
+            lists or matrices of the wrong length or shape, or weights that
+            are not finite numbers.
     """
     doc = read_json_object(path, ("layers", "width", "w1", "w2", "w3", "w4", "w5"))
     version = doc.get("format_version")
     if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
-        raise ValueError(f"unsupported model format_version {version!r}")
+        raise ValueError(f"{path}: unsupported model format_version {version!r}")
     n_layers, width = doc["layers"], doc["width"]
-    if type(n_layers) is not int or type(width) is not int:
-        raise ValueError(f"model file layers and width must be integers, got {n_layers!r}/{width!r}")
+    if type(n_layers) is not int or type(width) is not int or min(n_layers, width) < 1:
+        raise ValueError(f"{path}: need integers layers >= 1 and width >= 1, "
+                         f"got {n_layers!r}/{width!r}")
     threshold = DEFAULT_EDGE_THRESHOLD_DB if version == 1 else doc.get("edge_threshold_db")
     if not is_number(threshold) or math.isnan(threshold):
-        raise ValueError(f"model file edge_threshold_db must be a number and not NaN, "
+        raise ValueError(f"{path}: edge_threshold_db must be a number and not NaN, "
                          f"got {threshold!r}")
+    shapes = f"{path}: weight shapes do not match layers={n_layers} width={width}"
     rounds = [doc[k] for k in ("w1", "w2", "w3")]
     if any(not isinstance(mats, list) or len(mats) != n_layers for mats in rounds):
-        raise ValueError(f"model file shapes do not match layers={n_layers} width={width}")
-    weights = [number_array(w, "model file weights")  # the file's sizes: checked before allocating
+        raise ValueError(shapes)
+    weights = [number_array(w, f"{path}: weights")  # the file's sizes: checked before allocating
                for w in (*rounds[0], *rounds[1], *rounds[2], doc["w4"], doc["w5"])]
     if [w.shape for w in weights] != _weight_shapes(n_layers, width):
-        raise ValueError(f"model file shapes do not match layers={n_layers} width={width}")
+        raise ValueError(shapes)
     vec = np.concatenate([w.ravel() for w in weights])
     if not np.isfinite(vec).all():
-        raise ValueError("model file weights must be finite")
+        raise ValueError(f"{path}: weights must be finite")
     return GnnParams(n_layers, width, vec, edge_threshold_db=float(threshold))

@@ -563,15 +563,15 @@ def test_model_shapes_are_checked_before_allocating(tmp_path):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=mutated(saved_doc(save_model, init_params(0, 2, 3, 0.5)), counts=("layers",)))
 def test_load_model_survives_any_one_mutation(tmp_path, case):
-    # one hostile value, deleted key or added key: finite weights or a ValueError;
-    # a file cut short or not UTF-8: a ValueError that names the file
+    # one hostile value, deleted key or added key: finite weights or a ValueError
+    # that names the file; a file cut short or not UTF-8: a ValueError that names it
     data, is_json = case
     path = tmp_path / "model.json"
     path.write_bytes(data)
     try:
         p = load_model(str(path))
     except ValueError as exc:
-        assert is_json or str(exc).startswith(f"{path}: "), exc
+        assert str(exc).startswith(f"{path}: "), exc
         return
     assert is_json, "a corrupt file loaded"
     assert np.isfinite(p.vec).all() and not math.isnan(p.edge_threshold_db)
