@@ -116,28 +116,26 @@ def attach_features(g: ConnectionGraph, cap: np.ndarray, actions: list[tuple[int
     Returns ``(feats, rows, action)``.  Row k of ``feats.cell_rate`` and
     ``feats.cell_cap`` (K, n_cells, 2) is bit for bit the block of
     ``input_features(connect(g, *actions[k]), cap)``.  ``feats.ue`` is
-    (1 + T, n_ues, 2) over the T attached cells, ascending: block 0 is ``g``'s,
-    and block 1 + t is ``g``'s with the rows of cell t's UEs and of every UE
-    attached to it at t's load + 1, so those rows are each such after-state's.
-    ``rows`` lists the attached cell's UEs of each after-state in ascending
-    order, as indices into the (1 + T) * n_ues rows of ``feats.ue``, and
-    ``action`` the k of each entry.
+    (1 + n_cells, n_ues, 2): block 0 is ``g``'s, and block 1 + c is ``g``'s
+    with the rows of c's UEs and of every UE attached to c at c's load + 1,
+    so those rows are each such after-state's.  ``rows`` lists the attached
+    cell's UEs of each after-state in ascending order, as indices into the
+    (1 + n_cells) * n_ues rows of ``feats.ue``, and ``action`` the k of each entry.
     """
     cells, ues = _checked_actions(g, actions)
     k, m = np.arange(len(cells)), g.n_ues
     per_ue, per_cell = _rates(g, cap)
     load = g.loads()
-    touched, t = np.unique(cells, return_inverse=True)
-    at_cell = g.assign == touched[:, None]
-    served = np.flatnonzero(at_cell) + m  # (1 + t) * m + UE, ascending
-    at_cell[t, ues] = True
-    rates = np.repeat(per_ue[None], 1 + len(touched), axis=0)
-    rates[1:][at_cell] = (cap[touched] / (load[touched, None] + 1.0))[at_cell]
+    at_cell = g.assign == np.arange(g.n_cells)[:, None]
+    served = np.flatnonzero(at_cell) + m  # (1 + c) * m + UE, by cell and UE
+    at_cell[cells, ues] = True
+    rates = np.repeat(per_ue[None], 1 + g.n_cells, axis=0)
+    rates[1:][at_cell] = (cap / (load[:, None] + 1.0))[at_cell]
     # each action's cell's UEs (a run of ``served``), then its own UE; sorted by UE per action
     size = load[cells]
-    start = np.searchsorted(served, (1 + t) * m) - np.cumsum(size) + size
+    start = (np.cumsum(load) - load)[cells] - np.cumsum(size) + size
     rows = np.concatenate([served[np.repeat(start, size) + np.arange(size.sum())],
-                           (1 + t) * m + ues])
+                           (1 + cells) * m + ues])
     action = np.concatenate([np.repeat(k, size), k])
     order = np.lexsort((rows, action))
     rows, action = rows[order], action[order]
