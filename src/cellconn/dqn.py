@@ -25,8 +25,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from cellconn.graph import (DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph, NodeFeatures,
-                            after_states, connect, initial_graph, input_features)
-from cellconn.gnn import GnnParams, backward, forward, init_params, score_actions
+                            attach_features, connect, initial_graph, input_features)
+from cellconn.gnn import (GnnParams, backward, forward, init_params, score_actions,
+                          score_stacked)
 from cellconn.metrics import (coverage, jain_index, reward_fair,
                               reward_throughput, sum_throughput)
 from cellconn.netmodel import Deployment
@@ -100,8 +101,8 @@ class Transition:
     The network's weight-free inputs are built on first use and kept with the
     transition, which they never outlive; they read only the graph and
     ``cap``, so no update makes them stale.  Q reads the after-state's
-    ``features``; the target reads ``candidates``, the ``after_states`` of the
-    next state's legal actions and their ``input_features``.
+    ``features``; the target reads ``candidates``: the ``attach_features`` blocks
+    of the next state's legal actions, then the actions' cells and UEs.
     """
 
     reward: float
@@ -112,10 +113,11 @@ class Transition:
         return input_features(self.next_state.graph, self.next_state.cap)
 
     @cached_property
-    def candidates(self) -> tuple[ConnectionGraph, NodeFeatures]:
+    def candidates(self) -> tuple[NodeFeatures, np.ndarray, np.ndarray]:
         nxt = self.next_state
-        stack = after_states(nxt.graph, legal_actions(nxt))
-        return stack, input_features(stack, nxt.cap)
+        actions = legal_actions(nxt)
+        cells, ues = np.array(actions, dtype=np.intp).reshape(-1, 2).T
+        return attach_features(nxt.graph, nxt.cap, actions)[0], cells, ues
 
 
 class ReplayBuffer:
@@ -171,7 +173,7 @@ def td_target(p: GnnParams, t: Transition, gamma: float) -> float:
     The max scores every next action in one stacked pass on ``t``'s inputs."""
     if not t.next_state.unassigned:
         return t.reward
-    return t.reward + gamma * float(forward(p, *t.candidates).score.max())
+    return t.reward + gamma * float(score_stacked(p, t.next_state.graph, *t.candidates).max())
 
 
 def sgd_step(p: GnnParams, batch: Sequence[Transition], alpha: float,

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,11 +46,10 @@ class GnnParams:
                  edge_threshold_db: float = DEFAULT_EDGE_THRESHOLD_DB):
         if n_layers < 1 or width < 1:
             raise ValueError(f"need layers >= 1 and width >= 1, got {n_layers}/{width}")
-        shapes = _weight_shapes(n_layers, width)
-        bounds = np.cumsum([0, *(math.prod(s) for s in shapes)])
+        layout = _layout(n_layers, width)
         self.n_layers, self.width, self.edge_threshold_db = n_layers, width, edge_threshold_db
-        self.vec = np.zeros(bounds[-1]) if vec is None else vec
-        self.arrays = [self.vec[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)]
+        self.vec = np.zeros(layout[-1][1]) if vec is None else vec
+        self.arrays = [self.vec[a:b].reshape(s) for a, b, s in layout]
         n = n_layers
         self.w1, self.w2, self.w3 = self.arrays[:n], self.arrays[n:2 * n], self.arrays[2 * n:3 * n]
         self.w4, self.w5 = self.arrays[3 * n:]
@@ -59,6 +59,14 @@ def _weight_shapes(n_layers: int, width: int) -> list[tuple[int, ...]]:
     """The shapes of ``GnnParams.arrays``, in storage order."""
     rounds = [(2 if layer == 0 else width, width) for layer in range(n_layers)]
     return [*rounds, *rounds, *rounds, (width, width), (width,)]
+
+
+@lru_cache(maxsize=16)
+def _layout(n_layers: int, width: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(start, stop, shape) of each of ``GnnParams.arrays`` in ``vec``, in storage order."""
+    shapes = _weight_shapes(n_layers, width)
+    bounds = np.cumsum([0, *(math.prod(s) for s in shapes)]).tolist()
+    return tuple(zip(bounds, bounds[1:], shapes))
 
 
 def init_params(seed: int, n_layers: int = 2, width: int = 8,
@@ -121,8 +129,8 @@ def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
     h_ue, and the round before it no xu'.  A_ue is ``a_ue``, or ``ue_adjacency(g)``.
     A given ``message`` is the first round's x2' = A_ue relu(xu w3[0]), and
     ``feats.ue`` is not read; ``backward`` refuses such a trace.
-    ``g`` (or ``a_ue``) and the features may stack K graphs on a leading axis: every
-    product then runs per graph, bit for bit, and ``score`` is a (K,) array, not a float.
+    The features and ``a_ue`` may stack K candidates on ``g``'s cells: every product
+    then runs per candidate, bit for bit, and ``score`` is a (K,) array, not a float.
     """
     t = ForwardTrace(g.cell_adj, ue_adjacency(g) if a_ue is None else a_ue, message)
     x1, x2, xu = feats.cell_rate, feats.cell_cap, feats.ue
@@ -190,13 +198,14 @@ def score_action(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
 
 def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
                   actions: list[tuple[int, int]]) -> np.ndarray:
-    """Q-values of the (cell, ue) actions, in their order: bit for bit the
-    ``score_action`` of each, with every action checked as ``connect`` checks
-    it first.  Candidate k runs one ``forward`` on its after-state's cell blocks
-    from ``attach_features``, one copy of ``g``'s UE adjacency with its entry
-    (c, u) set, and one copy of ``g``'s first-round message with its row c set
-    to the sum over c's UEs and u in ascending order, as the product adds them;
-    the entry and the row are set for that call only.
+    """Q-values of the (cell, ue) actions, in their order, with every action
+    checked as ``connect`` checks it first.  Candidate k runs one ``forward`` on
+    its after-state's cell blocks from ``attach_features``, one copy of ``g``'s UE
+    adjacency with its entry (c, u) set, and one copy of ``g``'s first-round
+    message with its row c set to the sum over c's UEs and u in ascending order;
+    the entry and the row are set for that call only.  ``forward`` adds that row
+    as a 0/1 product, in another order at some widths (OpenBLAS: 1-4 and 12, not 8),
+    so each score is ``score_action``'s within 1e-12 of the largest score's magnitude.
     """
     feats, rows, action = attach_features(g, cap, actions)
     a_ue, w = ue_adjacency(g), p.width
@@ -213,6 +222,19 @@ def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
         scores[k] = forward(p, g, row, a_ue, message).score
         a_ue[cell, ue], message[cell] = 0.0, kept[cell]
     return scores
+
+
+def score_stacked(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
+                  cells: np.ndarray, ues: np.ndarray) -> np.ndarray:
+    """Q-values of attaching each ``ues[k]`` to ``cells[k]`` in one stacked ``forward``,
+    bit for bit each ``score_action``; ``feats`` is ``attach_features``' of these actions.
+    Candidate k reads its cell blocks, UE block 1 + c of its cell c and a copy of ``g``'s
+    UE adjacency with entry (c, u) set.  The block is the after-state's own in every
+    row the copy selects; every other row meets a zero column and adds exact zeros.
+    """
+    a_ue = np.repeat(ue_adjacency(g)[None], len(cells), axis=0)
+    a_ue[np.arange(len(cells)), cells, ues] = 1.0
+    return forward(p, g, replace(feats, ue=feats.ue[1 + cells]), a_ue).score
 
 
 def save_model(p: GnnParams, path: str) -> None:

@@ -8,7 +8,6 @@ value-semantic: ``connect`` returns a new graph and never mutates its input.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,9 +39,7 @@ def build_cell_graph(dep: Deployment) -> np.ndarray:
 class ConnectionGraph:
     """Cell-cell adjacency plus the current UE-to-cell assignment.
 
-    ``assign[j]`` is the serving cell of UE j, or UNASSIGNED.  ``assign`` may
-    carry a leading axis: a stack of graphs on the same cells (``after_states``),
-    which ``ue_rates``, ``input_features`` and ``ue_adjacency`` read graph by graph.
+    ``assign[j]`` is the serving cell of UE j, or UNASSIGNED.
     """
 
     cell_adj: np.ndarray
@@ -54,7 +51,7 @@ class ConnectionGraph:
 
     @property
     def n_ues(self) -> int:
-        return self.assign.shape[-1]
+        return self.assign.shape[0]
 
     def loads(self) -> np.ndarray:
         """Number of UEs served by each cell."""
@@ -87,31 +84,10 @@ def connect(g: ConnectionGraph, cell: int, ue: int) -> ConnectionGraph:
     return replace(g, assign=assign)
 
 
-def _checked_actions(g: ConnectionGraph, actions: list[tuple[int, int]]
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The actions' cells and UEs as two index arrays, with every action checked
-    as ``connect`` checks it first: the first bad one raises."""
-    cells, ues = np.array(actions, dtype=np.intp).reshape(-1, 2).T
-    ok = (0 <= cells) & (cells < g.n_cells) & (0 <= ues) & (ues < g.n_ues)
-    ok[ok] = g.assign[ues[ok]] == UNASSIGNED  # only an in-range UE indexes assign
-    if not ok.all():
-        _check_attach(g, *actions[np.argmin(ok)])
-    return cells, ues
-
-
-def after_states(g: ConnectionGraph, actions: list[tuple[int, int]]) -> ConnectionGraph:
-    """The stack of K graphs whose row k is ``connect(g, *actions[k])``, with
-    every action checked as ``connect`` checks it first: the first bad one raises."""
-    cells, ues = _checked_actions(g, actions)
-    assign = np.repeat(g.assign[None], len(cells), axis=0)
-    assign[np.arange(len(cells)), ues] = cells
-    return replace(g, assign=assign)
-
-
 def attach_features(g: ConnectionGraph, cap: np.ndarray, actions: list[tuple[int, int]]
                     ) -> tuple[NodeFeatures, np.ndarray, np.ndarray]:
-    """The after-states' inputs, built from ``g`` without their (K, n_ues) stack,
-    with every action checked as ``connect`` checks it first.
+    """The after-states' inputs, built from ``g`` alone, with every action
+    checked as ``connect`` checks it first: the first bad one raises.
 
     Returns ``(feats, rows, action)``.  Row k of ``feats.cell_rate`` and
     ``feats.cell_cap`` (K, n_cells, 2) is bit for bit the block of
@@ -122,7 +98,11 @@ def attach_features(g: ConnectionGraph, cap: np.ndarray, actions: list[tuple[int
     cell's UEs of each after-state in ascending order, as indices into the
     (1 + n_cells) * n_ues rows of ``feats.ue``, and ``action`` the k of each entry.
     """
-    cells, ues = _checked_actions(g, actions)
+    cells, ues = np.array(actions, dtype=np.intp).reshape(-1, 2).T
+    ok = (0 <= cells) & (cells < g.n_cells) & (0 <= ues) & (ues < g.n_ues)
+    ok[ok] = g.assign[ues[ok]] == UNASSIGNED  # only an in-range UE indexes assign
+    if not ok.all():
+        _check_attach(g, *actions[np.argmin(ok)])
     k, m = np.arange(len(cells)), g.n_ues
     per_ue, per_cell = _rates(g, cap)
     load = g.loads()
@@ -145,14 +125,14 @@ def attach_features(g: ConnectionGraph, cap: np.ndarray, actions: list[tuple[int
 
 
 def ue_adjacency(g: ConnectionGraph) -> np.ndarray:
-    """(n_cells, n_ues) incidence matrix of the assignment; (K, n_cells, n_ues) for a stack."""
-    return (g.assign[..., None, :] == np.arange(g.n_cells)[:, None]).astype(float)
+    """(n_cells, n_ues) incidence matrix of the assignment."""
+    return (g.assign == np.arange(g.n_cells)[:, None]).astype(float)
 
 
 def ue_rates(g: ConnectionGraph, cap: np.ndarray) -> np.ndarray:
     """Per-UE shared rate: capacity split evenly across the serving cell's load.
 
-    Unassigned UEs have rate zero.  ``g`` may be a stack of graphs.
+    Unassigned UEs have rate zero.
     """
     return _rates(g, cap)[0]
 
@@ -161,18 +141,14 @@ def _rates(g: ConnectionGraph, cap: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """``ue_rates`` and every cell's served throughput: its UEs' rates added one
     at a time in ascending UE order, as ``np.bincount`` adds them.
 
-    Each ``np.bincount`` segment-sums all graphs of a stack at once.  Segment 0 of
-    each graph is a spare cell that takes its unassigned UEs; segment c + 1 is cell c.
+    Segment 0 is a spare cell that takes the unassigned UEs; segment c + 1 is cell c.
     """
     n, m = g.n_cells, g.n_ues
-    lead = g.assign.shape[:-1]
     spare = np.concatenate([cap, np.zeros((1, m))]).ravel()  # UNASSIGNED * m + j wraps to row n
     per_ue = np.take(spare, g.assign * m + np.arange(m))
-    seg = g.assign + ((n + 1) * np.arange(math.prod(lead)) + 1).reshape(*lead, 1)
-    bins = (n + 1) * math.prod(lead)
-    per_ue /= np.take(np.bincount(seg.ravel(), minlength=bins).astype(float), seg)  # the load
-    per_cell = np.bincount(seg.ravel(), weights=per_ue.ravel(), minlength=bins)
-    return per_ue, per_cell.reshape(*lead, n + 1)[..., 1:]
+    seg = g.assign + 1
+    per_ue /= np.take(np.bincount(seg, minlength=n + 1).astype(float), seg)  # the load
+    return per_ue, np.bincount(seg, weights=per_ue, minlength=n + 1)[1:]
 
 
 @dataclass(frozen=True)
@@ -227,8 +203,7 @@ def initial_graph(dep: Deployment, threshold_db: float = DEFAULT_EDGE_THRESHOLD_
 
 
 def input_features(g: ConnectionGraph, cap: np.ndarray) -> NodeFeatures:
-    """Assemble and normalize the three node-feature blocks, of one graph or,
-    on a leading axis, of each graph of a stack.
+    """Assemble and normalize the three node-feature blocks.
 
     All six columns are divided by the mean link capacity of the deployment
     (plus a small epsilon).  The divisor depends only on the capacity matrix,
@@ -244,7 +219,7 @@ def input_features(g: ConnectionGraph, cap: np.ndarray) -> NodeFeatures:
 def _features(cell_adj: np.ndarray, cap: np.ndarray, per_cell: np.ndarray,
               per_ue: np.ndarray) -> NodeFeatures:
     """The normalized blocks of cell throughputs ``per_cell`` and UE rates ``per_ue``,
-    each of one graph or of a stack on a leading axis (the two stacks may differ)."""
+    each of one graph or of several on a leading axis (the two counts may differ)."""
     blocks = (((cell_adj @ per_cell[..., None])[..., 0], per_cell),
               (per_cell, cap.sum(axis=1)),
               (cap.sum(axis=0), per_ue))

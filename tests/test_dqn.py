@@ -1,5 +1,6 @@
 """TD learner tests: action space, targets, hand-traced updates, training loop."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -15,7 +16,7 @@ from cellconn.dqn import (REWARD_KINDS, DivergenceError, EpisodeState, ReplayBuf
                           deployment_state, greedy_rollout, legal_actions,
                           run_episode, select_action, sgd_step, td_target,
                           train)
-from cellconn.gnn import GnnParams, init_params, score_action, score_actions
+from cellconn.gnn import GnnParams, init_params, score_action
 from cellconn.graph import DEFAULT_D_MAX_M, connect, initial_graph
 from cellconn.metrics import fair_bonus, sum_throughput
 from cellconn.netmodel import generate_deployment
@@ -210,7 +211,8 @@ def test_td_target_scores_cached_inputs_with_the_current_weights():
     nxt = t.next_state
 
     def want(p):
-        return 0.25 + 0.9 * float(score_actions(p, nxt.graph, nxt.cap, legal_actions(nxt)).max())
+        return 0.25 + 0.9 * max(score_action(p, nxt.graph, nxt.cap, c, u)
+                                for c, u in legal_actions(nxt))
 
     assert want(p1) != want(p2)
     for first, second in ((p1, p2), (p2, p1)):
@@ -221,6 +223,25 @@ def test_td_target_scores_cached_inputs_with_the_current_weights():
         assert td_target(second, t, 0.9) == want(second)
         assert td_target(first, t, 0.9) == want(first)
         assert t.candidates is cached
+
+
+def test_a_20_by_200_transition_caches_no_after_state_stack():
+    # the target keeps K cell blocks and one UE block per cell, 0.28 MB here; the
+    # (K, n_ues) assignment stack and its stacked features took 1.79 MB
+    s = deployment_state(generate_deployment(1_000_000, 20, 200), TrainConfig())
+    t = Transition(reward=0.0, next_state=advance(s, *legal_actions(s)[0]))
+    k = len(legal_actions(t.next_state))
+    assert k > 300
+
+    def arrays(x):
+        if isinstance(x, np.ndarray):
+            return [x]
+        values = vars(x).values() if dataclasses.is_dataclass(x) else x
+        return [a for v in values if v is not None for a in arrays(v)]
+
+    held = arrays((t.features, t.candidates))
+    assert all(a.shape[:2] != (k, 200) for a in held)
+    assert sum(a.nbytes for a in held) <= 500_000
 
 
 # ---------------------------------------------------------------- updates ---

@@ -12,10 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cellconn.gnn as gnn
-from cellconn.dqn import deployment_state, legal_actions
+from cellconn.dqn import advance, best_action, deployment_state, legal_actions
 from cellconn.gnn import (GnnParams, backward, forward, init_params, load_model, save_model,
                           score_action, score_actions)
-from cellconn.graph import (UNASSIGNED, ConnectionGraph, NodeFeatures, after_states,
+from cellconn.graph import (UNASSIGNED, ConnectionGraph, NodeFeatures, attach_features,
                             build_cell_graph, capacity_matrix, connect, initial_graph,
                             input_features, ue_adjacency)
 from cellconn.netmodel import generate_deployment
@@ -279,9 +279,10 @@ def report_actions(g, dep):
 
 
 def stacked_scores(p, g, cap, actions):
-    """The actions' scores from one stacked ``forward`` over their ``after_states``."""
-    stack = after_states(g, actions)
-    return gnn.forward(p, stack, input_features(stack, cap)).score
+    """The actions' scores from ``score_stacked``, the TD target's pass, on the
+    inputs that ``dqn.Transition.candidates`` keeps."""
+    feats = attach_features(g, cap, actions)[0]
+    return gnn.score_stacked(p, g, feats, *np.array(actions, dtype=np.intp).reshape(-1, 2).T)
 
 
 SCORERS = (score_actions, stacked_scores)
@@ -323,6 +324,30 @@ def test_score_actions_equals_the_score_action_loop_exactly_at_40_by_800():
     actions = report_actions(g, dep)
     assert len(actions) > 1000
     scores_equal_to_the_loop(init_params(2, 2, 8, 0.5), g, dep.cap, actions, (score_actions,))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 12, 16])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_scorers_at_every_drawn_width(n_layers, width):
+    # the stacked pass is the loop bit for bit.  score_actions adds each candidate's
+    # message row in ascending UE order, which forward's 0/1 product does at some
+    # widths only: its bound, stated before any run, is 1e-12 of the largest score,
+    # with best_action picking the loop's argmax on every decision of a fixed probe set
+    p = init_params(10 * width + n_layers, n_layers, width, 0.5)
+    for n, m in ((2, 4), (6, 30), (20, 200)):
+        g, dep = emptied_state(n, m)
+        actions = report_actions(g, dep)
+        want = scores_equal_to_the_loop(p, g, dep.cap, actions, (stacked_scores,))
+        got = score_actions(p, g, dep.cap, actions)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for seed in range(3):  # greedy rollouts of three desk deployments
+        s = deployment_state(generate_deployment(seed, 6, 30), p)
+        while s.unassigned:
+            actions = legal_actions(s)
+            loop = [score_action(p, s.graph, s.cap, c, u) for c, u in actions]
+            pick = actions[int(np.argmax(loop))]
+            assert best_action(p, s, actions) == pick
+            s = advance(s, *pick)
 
 
 def test_score_actions_of_no_action_and_of_a_taken_ue():
@@ -551,12 +576,17 @@ def test_model_wrong_matrix_count_errors(tmp_path):
 
 
 def test_model_shapes_are_checked_before_allocating(tmp_path):
-    # a 2 x 8 file that declares width 10**6 would allocate about 32 TB of weights
+    # a 2 x 8 file that declares width 10**6 would allocate about 32 TB of weights;
+    # no rejected file computes, or leaves in the cache, a weight layout
     path = tmp_path / "model.json"
     save_model(init_params(0, 2, 8, 0.01), str(path))
-    path.write_text(json.dumps(dict(json.loads(path.read_text()), width=10 ** 6)))
-    with pytest.raises(ValueError, match="shapes"):
-        load_model(str(path))
+    doc = json.loads(path.read_text())
+    for key in ("width", "layers"):
+        path.write_text(json.dumps(dict(doc, **{key: 10 ** 6})))
+        misses = gnn._layout.cache_info().misses
+        with pytest.raises(ValueError, match="shapes"):
+            load_model(str(path))
+        assert gnn._layout.cache_info().misses == misses
 
 
 @settings(max_examples=300, deadline=None,

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cellconn.graph import (UNASSIGNED, ConnectionGraph, UeClass, after_states,
+import cellconn.gnn as gnn
+from cellconn.dqn import EpisodeState, Transition
+from cellconn.graph import (UNASSIGNED, ConnectionGraph, UeClass, attach_features,
                             build_cell_graph, capacity_matrix, classify_ues, connect,
                             initial_graph, input_features, ue_adjacency, ue_rates)
 from cellconn.metrics import sum_throughput
@@ -87,31 +89,42 @@ def same_bits(a, b) -> bool:
 
 
 @pytest.mark.parametrize("case", ["one cell", "every UE pending", "partly assigned", "no action"])
-def test_after_states_rows_are_the_connected_graphs_bit_for_bit(case):
-    # row k of the stack's features and UE adjacency is those of connect(g, *actions[k])
+def test_target_inputs_are_the_connected_graphs_bit_for_bit(case, monkeypatch):
+    # candidate k of the TD target's stacked pass reads the cell blocks and UE adjacency
+    # of connect(g, *actions[k]), and that graph's UE rows wherever the adjacency selects
     dep = generate_deployment(5, 1 if case == "one cell" else 6, 30)
     g, _ = initial_graph(dep)
     assign = np.full_like(g.assign, UNASSIGNED) if case == "every UE pending" else g.assign.copy()
     assign[::3] = UNASSIGNED
     g = ConnectionGraph(g.cell_adj, assign)
-    actions = [(c, int(u)) for u in np.flatnonzero(assign == UNASSIGNED)
-               for c in range(dep.n_cells)] if case != "no action" else []
-    stack = after_states(g, actions)
-    assert same_bits(g.assign, assign) and stack.cell_adj is g.cell_adj
-    feats, a_ue = input_features(stack, dep.cap), ue_adjacency(stack)
+    pending = tuple(np.flatnonzero(assign == UNASSIGNED).tolist())
+    cells = () if case == "no action" else tuple(range(dep.n_cells))
+    t = Transition(0.0, EpisodeState(g, pending, dict.fromkeys(pending, cells), dep.cap))
+    actions = [(c, u) for u in pending for c in cells]
+    seen, forward = [], gnn.forward
+
+    def recording(p, g_in, feats, a_ue):
+        seen.append((g_in, feats, a_ue))
+        return forward(p, g_in, feats, a_ue)
+
+    monkeypatch.setattr(gnn, "forward", recording)
+    assert gnn.score_stacked(gnn.init_params(0), g, *t.candidates).shape == (len(actions),)
+    [(g_in, feats, a_ue)] = seen
+    assert same_bits(g.assign, assign) and g_in is g
     n, m = dep.n_cells, dep.n_ues
     assert (feats.cell_rate.shape, feats.cell_cap.shape, feats.ue.shape, a_ue.shape) == (
         (len(actions), n, 2), (len(actions), n, 2), (len(actions), m, 2), (len(actions), n, m))
     for k, action in enumerate(actions):
         g_next = connect(g, *action)
-        assert same_bits(stack.assign[k], g_next.assign)
         want = input_features(g_next, dep.cap)
-        for block in ("cell_rate", "cell_cap", "ue"):
+        for block in ("cell_rate", "cell_cap"):
             assert same_bits(getattr(feats, block)[k], getattr(want, block)), (action, block)
         assert same_bits(a_ue[k], ue_adjacency(g_next))
+        selected = a_ue[k].any(axis=0)
+        assert same_bits(feats.ue[k][selected], want.ue[selected]), action
 
 
-def test_after_states_checks_every_action_as_connect_does():
+def test_attach_features_checks_every_action_as_connect_does():
     g = make_graph(3, [0, None, None])
     assign = g.assign.copy()
     for actions, match in [([(1, 1), (3, 2)], "cell index 3 out of range"),
@@ -120,7 +133,7 @@ def test_after_states_checks_every_action_as_connect_does():
                            ([(0, -1)], "UE index -1 out of range"),
                            ([(1, 2), (2, 0), (5, 1)], "UE 0 already connected to cell 0")]:
         with pytest.raises(ValueError, match=match):
-            after_states(g, actions)
+            attach_features(g, np.ones((3, 3)), actions)
     assert same_bits(g.assign, assign)
 
 
