@@ -24,7 +24,7 @@ from cellconn.netmodel import (Deployment, RadioConfig, build, generate_deployme
 from cellconn.xapp import max_rsrp_graph, parse_endpoint, serve
 
 # Eval deployments sit far from the training seed range so sweeps never
-# evaluate on a deployment that was trained on.
+# evaluate on a deployment that was trained on; it bounds n_train_deployments.
 EVAL_SEED_OFFSET = 1_000_000
 EVAL_POINT_STRIDE = 10_000
 
@@ -56,9 +56,11 @@ class ExperimentConfig:
                 raise UsageError(f"{name} entries must be positive and finite, got {list(values)}")
         if not self.n_cells_list or not self.n_ues_list:
             raise UsageError("n_cells_list and n_ues_list must be non-empty")
-        if self.n_train_deployments < 1 or self.n_eval_deployments < 1:
-            raise UsageError(f"deployment counts must be >= 1, got "
-                             f"train={self.n_train_deployments} eval={self.n_eval_deployments}")
+        if not (1 <= self.n_train_deployments <= EVAL_SEED_OFFSET
+                and self.n_eval_deployments >= 1):
+            raise UsageError(f"need train deployments in [1, {EVAL_SEED_OFFSET}] and eval "
+                             f"deployments >= 1, got train={self.n_train_deployments} "
+                             f"eval={self.n_eval_deployments}")
         if not (0 < self.hex_diameter_m < math.inf and 0 <= self.min_cell_sep_m < math.inf
                 and self.seed >= 0):  # numpy takes only non-negative seeds
             raise UsageError(f"need finite hex_diameter_m > 0 and min_cell_sep_m >= 0, seed >= 0; "

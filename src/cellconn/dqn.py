@@ -72,8 +72,8 @@ class TrainConfig:
                 and not math.isnan(self.edge_threshold_db)):
             raise ValueError(f"need episodes_per_deployment >= 1, finite alpha >= 0, gamma in "
                              f"[0, 1], finite lambda_fair, non-NaN edge_threshold_db; got {self}")
-        if self.gnn_layers < 1 or self.gnn_width < 1 or not self.init_std > 0:
-            raise ValueError(f"need gnn_layers >= 1, gnn_width >= 1 and init_std > 0, got "
+        if self.gnn_layers < 1 or self.gnn_width < 1 or not 0 < self.init_std < math.inf:
+            raise ValueError(f"need gnn_layers >= 1, gnn_width >= 1 and finite init_std > 0, got "
                              f"{self.gnn_layers}/{self.gnn_width}/{self.init_std}")
         if self.grad_clip_norm is not None and not self.grad_clip_norm > 0:
             raise ValueError(f"grad_clip_norm must be > 0 or None, got {self.grad_clip_norm}")
@@ -115,9 +115,8 @@ class Transition:
     @cached_property
     def candidates(self) -> tuple[NodeFeatures, np.ndarray, np.ndarray]:
         nxt = self.next_state
-        actions = legal_actions(nxt)
-        cells, ues = np.array(actions, dtype=np.intp).reshape(-1, 2).T
-        return attach_features(nxt.graph, nxt.cap, actions)[0], cells, ues
+        feats, _, _, cells, ues = attach_features(nxt.graph, nxt.cap, legal_actions(nxt))
+        return feats, cells, ues
 
 
 class ReplayBuffer:

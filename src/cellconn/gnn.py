@@ -74,12 +74,12 @@ def init_params(seed: int, n_layers: int = 2, width: int = 8,
     """Gaussian-initialized weights, deterministic in the seed.
 
     Raises:
-        ValueError: non-positive init_std (a zero standard deviation would
+        ValueError: init_std not finite and > 0 (a zero standard deviation would
             freeze the score at 0 forever), or a layer count or width below 1
             (checked by ``GnnParams``).
     """
-    if init_std <= 0:
-        raise ValueError(f"init_std must be > 0, got {init_std}")
+    if not 0 < init_std < math.inf:
+        raise ValueError(f"init_std must be finite and > 0, got {init_std}")
     rng = np.random.default_rng(seed)
     p = GnnParams(n_layers, width)
     for layer in range(n_layers):
@@ -105,12 +105,10 @@ class Round:
 
 @dataclass
 class ForwardTrace:
-    """Everything ``backward`` needs: one ``Round`` per layer and the readout.
-    ``message`` is the first round's UE message if ``forward`` was given it."""
+    """Everything ``backward`` needs: one ``Round`` per layer and the readout."""
 
     a_cl: np.ndarray
     a_ue: np.ndarray
-    message: np.ndarray | None = None
     rounds: list[Round] = field(default_factory=list)
     pooled: np.ndarray | None = None
     z: np.ndarray | None = None
@@ -128,11 +126,11 @@ def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
     The score reads only the last round's h_cl, so the last round computes no
     h_ue, and the round before it no xu'.  A_ue is ``a_ue``, or ``ue_adjacency(g)``.
     A given ``message`` is the first round's x2' = A_ue relu(xu w3[0]), and
-    ``feats.ue`` is not read; ``backward`` refuses such a trace.
+    ``feats.ue`` is not read; ``backward`` refuses such a trace unless it has one round.
     The features and ``a_ue`` may stack K candidates on ``g``'s cells: every product
     then runs per candidate, bit for bit, and ``score`` is a (K,) array, not a float.
     """
-    t = ForwardTrace(g.cell_adj, ue_adjacency(g) if a_ue is None else a_ue, message)
+    t = ForwardTrace(g.cell_adj, ue_adjacency(g) if a_ue is None else a_ue)
     x1, x2, xu = feats.cell_rate, feats.cell_cap, feats.ue
     for layer in range(p.n_layers):
         r = Round(x1, x2, x1 @ p.w1[layer], x2 @ p.w2[layer])
@@ -161,17 +159,17 @@ def backward(p: GnnParams, t: ForwardTrace) -> GnnParams:
     last round's ``w3`` is never read, and its slot stays zero.
 
     Raises:
-        ValueError: ``t`` was given its first-round message, so it holds no
-            UE inputs for that round's gradient.
+        ValueError: ``t`` was given its first-round message and another round
+            follows, so it holds no UE inputs for that round's gradient.
     """
-    if t.message is not None:
+    if len(t.rounds) > 1 and t.rounds[0].u3 is None:
         raise ValueError("backward needs the first round's UE inputs; the trace was "
                          "given its message instead")
     grad = GnnParams(p.n_layers, p.width)
     grad.w5[...] = _relu(t.z)
     g_z = p.w5 * (t.z > 0)
     grad.w4[...] = np.outer(t.pooled, g_z)
-    g_hcl = np.broadcast_to(p.w4 @ g_z, t.rounds[-1].u1.shape)
+    g_hcl = p.w4 @ g_z  # one row: every cell's h_cl feeds the pooled sum alike
     for layer in reversed(range(p.n_layers)):
         r = t.rounds[layer]
         g_u1 = g_hcl * (r.u1 > 0)
@@ -207,7 +205,7 @@ def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
     as a 0/1 product, in another order at some widths (OpenBLAS: 1-4 and 12, not 8),
     so each score is ``score_action``'s within 1e-12 of the largest score's magnitude.
     """
-    feats, rows, action = attach_features(g, cap, actions)
+    feats, rows, action, _, _ = attach_features(g, cap, actions)
     a_ue, w = ue_adjacency(g), p.width
     h = _relu(feats.ue @ p.w3[0])  # one (n_ues, 2) product per block, as forward computes it
     message = a_ue @ h[0]

@@ -55,8 +55,7 @@ class ConnectionGraph:
 
     def loads(self) -> np.ndarray:
         """Number of UEs served by each cell."""
-        served = self.assign[self.assign != UNASSIGNED]
-        return np.bincount(served, minlength=self.n_cells)
+        return np.bincount(self.assign + 1, minlength=self.n_cells + 1)[1:]
 
     def assigned_ues(self) -> np.ndarray:
         return np.nonzero(self.assign != UNASSIGNED)[0]
@@ -85,13 +84,13 @@ def connect(g: ConnectionGraph, cell: int, ue: int) -> ConnectionGraph:
 
 
 def attach_features(g: ConnectionGraph, cap: np.ndarray, actions: list[tuple[int, int]]
-                    ) -> tuple[NodeFeatures, np.ndarray, np.ndarray]:
+                    ) -> tuple[NodeFeatures, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The after-states' inputs, built from ``g`` alone, with every action
     checked as ``connect`` checks it first: the first bad one raises.
 
-    Returns ``(feats, rows, action)``.  Row k of ``feats.cell_rate`` and
-    ``feats.cell_cap`` (K, n_cells, 2) is bit for bit the block of
-    ``input_features(connect(g, *actions[k]), cap)``.  ``feats.ue`` is
+    Returns ``(feats, rows, action, cells, ues)``: action k is (cells[k], ues[k]).
+    Row k of ``feats.cell_rate`` and ``feats.cell_cap`` (K, n_cells, 2) is bit for
+    bit the block of ``input_features(connect(g, *actions[k]), cap)``.  ``feats.ue`` is
     (1 + n_cells, n_ues, 2): block 0 is ``g``'s, and block 1 + c is ``g``'s
     with the rows of c's UEs and of every UE attached to c at c's load + 1,
     so those rows are each such after-state's.  ``rows`` lists the attached
@@ -104,8 +103,7 @@ def attach_features(g: ConnectionGraph, cap: np.ndarray, actions: list[tuple[int
     if not ok.all():
         _check_attach(g, *actions[np.argmin(ok)])
     k, m = np.arange(len(cells)), g.n_ues
-    per_ue, per_cell = _rates(g, cap)
-    load = g.loads()
+    per_ue, per_cell, load = _rates(g, cap)
     at_cell = g.assign == np.arange(g.n_cells)[:, None]
     served = np.flatnonzero(at_cell) + m  # (1 + c) * m + UE, by cell and UE
     at_cell[cells, ues] = True
@@ -121,7 +119,7 @@ def attach_features(g: ConnectionGraph, cap: np.ndarray, actions: list[tuple[int
     rows, action = rows[order], action[order]
     per_cell = np.repeat(per_cell[None], len(cells), axis=0)
     per_cell[k, cells] = np.bincount(action, weights=rates.ravel()[rows], minlength=len(cells))
-    return _features(g.cell_adj, cap, per_cell, rates), rows, action
+    return _features(g.cell_adj, cap, per_cell, rates), rows, action, cells, ues
 
 
 def ue_adjacency(g: ConnectionGraph) -> np.ndarray:
@@ -137,18 +135,17 @@ def ue_rates(g: ConnectionGraph, cap: np.ndarray) -> np.ndarray:
     return _rates(g, cap)[0]
 
 
-def _rates(g: ConnectionGraph, cap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``ue_rates`` and every cell's served throughput: its UEs' rates added one
-    at a time in ascending UE order, as ``np.bincount`` adds them.
+def _rates(g: ConnectionGraph, cap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ue_rates``, every cell's served throughput (its UEs' rates added one at a
+    time in ascending UE order, as ``np.bincount`` adds them) and ``g.loads()``.
 
-    Segment 0 is a spare cell that takes the unassigned UEs; segment c + 1 is cell c.
+    Segment 0 is a spare cell that takes the unassigned UEs at rate 0; c + 1 is cell c.
     """
     n, m = g.n_cells, g.n_ues
-    spare = np.concatenate([cap, np.zeros((1, m))]).ravel()  # UNASSIGNED * m + j wraps to row n
-    per_ue = np.take(spare, g.assign * m + np.arange(m))
     seg = g.assign + 1
-    per_ue /= np.take(np.bincount(seg, minlength=n + 1).astype(float), seg)  # the load
-    return per_ue, np.bincount(seg, weights=per_ue, minlength=n + 1)[1:]
+    load = np.bincount(seg, minlength=n + 1)
+    per_ue = np.where(seg > 0, cap[g.assign, np.arange(m)], 0.0) / load[seg]
+    return per_ue, np.bincount(seg, weights=per_ue, minlength=n + 1)[1:], load[1:]
 
 
 @dataclass(frozen=True)
@@ -212,7 +209,7 @@ def input_features(g: ConnectionGraph, cap: np.ndarray) -> NodeFeatures:
     high-rate assignment from a low-rate one.  The same normalization runs at
     training and inference time.
     """
-    per_ue, per_cell = _rates(g, cap)
+    per_ue, per_cell, _ = _rates(g, cap)
     return _features(g.cell_adj, cap, per_cell, per_ue)
 
 

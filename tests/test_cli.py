@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import shutil
 import signal
@@ -19,10 +20,10 @@ from hypothesis import HealthCheck, given, settings
 
 import cellconn
 from cellconn import cli
-from cellconn.cli import (ExperimentConfig, GAIN_COLUMNS, SweepPoint, UsageError,
-                          _gain_pct, cmd_eval, cmd_generate, cmd_train,
+from cellconn.cli import (EVAL_SEED_OFFSET, ExperimentConfig, GAIN_COLUMNS, SweepPoint,
+                          UsageError, _gain_pct, cmd_eval, cmd_generate, cmd_train,
                           config_from_dict, eval_deployment, load_config, main,
-                          sweep_points)
+                          sweep_points, train_deployment)
 from cellconn.dqn import TrainConfig
 from cellconn.gnn import GnnParams, init_params, load_model, save_model
 from cellconn.graph import capacity_matrix
@@ -175,6 +176,31 @@ def test_config_rejects_values_the_code_cannot_use(tmp_path, doc):
     with pytest.raises(UsageError):
         load_config(path, None)
     assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
+
+
+def test_a_non_finite_init_std_is_refused_before_any_work(tmp_path, capsys):
+    # json reads Infinity; the weights drawn with it make every TD error NaN
+    path = write_config(tmp_path, micro_doc(train={"init_std": math.inf}))
+    assert "Infinity" in open(path, encoding="utf-8").read()
+    assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
+    assert f"error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="init_std"):
+            TrainConfig(init_std=bad)
+        with pytest.raises(ValueError, match="init_std"):
+            init_params(0, 2, 8, bad)
+
+
+def test_train_deployments_stop_short_of_the_eval_seeds(tmp_path):
+    # train deployment i has seed + i, point 0's first eval deployment seed + EVAL_SEED_OFFSET
+    cfg = load_config(write_config(tmp_path, micro_doc(n_train_deployments=EVAL_SEED_OFFSET)),
+                      None)
+    last = train_deployment(cfg, cfg.n_train_deployments - 1)
+    assert last.seed < eval_deployment(cfg, 0, sweep_points(cfg)[0], 0).seed
+    too_many = micro_doc(n_train_deployments=EVAL_SEED_OFFSET + 1)
+    with pytest.raises(UsageError, match=str(EVAL_SEED_OFFSET)):
+        load_config(write_config(tmp_path, too_many), None)
 
 
 FULL_CONFIG = {**{k: list(v) if isinstance(v, tuple) else v

@@ -444,6 +444,21 @@ def test_backward_refuses_a_trace_given_its_message(rng):
         backward(p, given)
 
 
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_backward_on_a_trace_given_its_message_by_depth(rng, n_layers):
+    # one round never reads the message, so its trace is the plain one; a deeper
+    # trace holds no UE inputs for its first round and is refused
+    g, cap, feats = random_instance(rng)
+    p = random_params(rng, n_layers)
+    message = ue_adjacency(g) @ np.maximum(feats.ue @ p.w3[0], 0.0)
+    given = forward(p, g, dataclasses.replace(feats, ue=None), message=message)
+    if n_layers > 1:
+        with pytest.raises(ValueError, match="message"):
+            backward(p, given)
+        return
+    assert backward(p, given).vec.tobytes() == backward(p, forward(p, g, feats)).vec.tobytes()
+
+
 def test_score_actions_memory_stays_one_ue_stack_at_20_by_200():
     # the decision path holds the candidates' (K, n_cells, 2) cell blocks and one
     # (n_ues, width) UE product per attached cell, under 1 MB here; a (K, n_ues, 2)

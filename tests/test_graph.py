@@ -1,5 +1,7 @@
 """Connection graph, rates and GNN input features."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -296,3 +298,19 @@ def test_ue_rates_helper_matches_matrix():
     want = [cap[c, j] / loads[c] if c != UNASSIGNED else 0.0
             for j, c in enumerate(g.assign)]
     assert ue_rates(g, cap).tolist() == want
+
+
+@pytest.mark.parametrize("build", [ue_rates, input_features], ids=lambda f: f.__name__)
+def test_rates_copy_no_capacity_matrix_at_20_by_200(build):
+    # each UE's capacity is one gathered entry: one (n_cells + 1, n_ues) float
+    # copy of cap would be 33,600 bytes here
+    dep = generate_deployment(1_000_000, 20, 200)
+    g, cap = initial_graph(dep)[0], dep.cap
+    build(g, cap)  # anything allocated once per process comes first
+    tracemalloc.start()
+    try:
+        build(g, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (20 + 1) * 200 * 8
