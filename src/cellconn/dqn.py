@@ -115,7 +115,7 @@ class Transition:
     @cached_property
     def candidates(self) -> tuple[NodeFeatures, np.ndarray, np.ndarray]:
         nxt = self.next_state
-        feats, _, _, cells, ues = attach_features(nxt.graph, nxt.cap, legal_actions(nxt))
+        feats, _, _, cells, ues, _ = attach_features(nxt.graph, nxt.cap, legal_actions(nxt))
         return feats, cells, ues
 
 

@@ -92,8 +92,8 @@ def init_params(seed: int, n_layers: int = 2, width: int = 8,
 
 @dataclass
 class Round:
-    """One message-passing round as ``backward`` reads it: inputs and pre-activations.
-    The last round has no UE branch (``xu``, ``u3`` stay None): its UE embeddings feed nothing."""
+    """One message-passing round as ``backward`` reads it: inputs, rectified cell products and
+    the UE pre-activation ``u3``; the last round has no UE branch (``xu``, ``u3`` stay None)."""
 
     x1: np.ndarray
     x2: np.ndarray
@@ -115,8 +115,9 @@ class ForwardTrace:
     score: float | np.ndarray = 0.0
 
 
-def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
-            a_ue: np.ndarray | None = None, message: np.ndarray | None = None) -> ForwardTrace:
+def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures | None,
+            a_ue: np.ndarray | None = None,
+            first: tuple[np.ndarray, np.ndarray] | None = None) -> ForwardTrace:
     """Run the message-passing rounds and the readout head.
 
     Per round l (inputs x1, x2 over cells, xu over UEs):
@@ -125,32 +126,41 @@ def forward(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
     Readout: score = relu(sum_rows(h_cl) w4) . w5
     The score reads only the last round's h_cl, so the last round computes no
     h_ue, and the round before it no xu'.  A_ue is ``a_ue``, or ``ue_adjacency(g)``.
-    A given ``message`` is the first round's x2' = A_ue relu(xu w3[0]), and
-    ``feats.ue`` is not read; ``backward`` refuses such a trace unless it has one round.
+    A given ``first`` is the first round's outputs (h_cl, x2'): ``feats`` is not read, only
+    rounds 1 onward and the readout run, and ``backward`` refuses the trace.
     The features and ``a_ue`` may stack K candidates on ``g``'s cells: every product
     then runs per candidate, bit for bit, and ``score`` is a (K,) array, not a float.
     """
     t = ForwardTrace(g.cell_adj, ue_adjacency(g) if a_ue is None else a_ue)
-    x1, x2, xu = feats.cell_rate, feats.cell_cap, feats.ue
-    for layer in range(p.n_layers):
-        r = Round(x1, x2, x1 @ p.w1[layer], x2 @ p.w2[layer])
+    if first is None:
+        r, *first = _round(p, 0, feats.cell_rate, feats.cell_cap,
+                           feats.ue if p.n_layers > 1 else None, t.a_ue)
         t.rounds.append(r)
-        h_cl = _relu(r.u1) + _relu(r.u2)
-        if layer + 1 == p.n_layers:  # the last round: its UE embeddings feed nothing
-            break
-        x1 = t.a_cl @ h_cl
-        if layer == 0 and message is not None:
-            x2 = message
-        else:
-            r.xu, r.u3 = xu, xu @ p.w3[layer]
-            x2 = t.a_ue @ _relu(r.u3)
-        if layer + 2 < p.n_layers:  # xu' feeds only a UE branch
-            xu = t.a_ue.swapaxes(-1, -2) @ h_cl
+    h_cl, x2 = first
+    for layer in range(1, p.n_layers):
+        xu = t.a_ue.swapaxes(-1, -2) @ h_cl if layer + 1 < p.n_layers else None
+        r, h_cl, x2 = _round(p, layer, t.a_cl @ h_cl, x2, xu, t.a_ue)
+        t.rounds.append(r)
     t.pooled = h_cl.sum(axis=-2)
     t.z = (t.pooled[..., None, :] @ p.w4)[..., 0, :]  # a product per graph: one gemm sums otherwise
     score = (_relu(t.z)[..., None, :] @ p.w5)[..., 0]
     t.score = float(score) if score.ndim == 0 else score
     return t
+
+
+def _round(p: GnnParams, layer: int, x1: np.ndarray, x2: np.ndarray,
+           xu: np.ndarray | None = None, a_ue: np.ndarray | None = None
+           ) -> tuple[Round, np.ndarray, np.ndarray | None]:
+    """Round ``layer``: its ``Round``, h_cl = relu(x1 w1) + relu(x2 w2) (each ReLU in place),
+    and the next round's x2' = A_ue relu(xu w3), or None without ``xu`` (the last round).
+    The inputs may stack graphs on a leading axis: every product then runs per graph."""
+    r = Round(x1, x2, x1 @ p.w1[layer], x2 @ p.w2[layer])
+    np.maximum(r.u1, 0.0, out=r.u1)
+    np.maximum(r.u2, 0.0, out=r.u2)
+    if xu is None:
+        return r, r.u1 + r.u2, None
+    r.xu, r.u3 = xu, xu @ p.w3[layer]
+    return r, r.u1 + r.u2, a_ue @ _relu(r.u3)
 
 
 def backward(p: GnnParams, t: ForwardTrace) -> GnnParams:
@@ -159,12 +169,11 @@ def backward(p: GnnParams, t: ForwardTrace) -> GnnParams:
     last round's ``w3`` is never read, and its slot stays zero.
 
     Raises:
-        ValueError: ``t`` was given its first-round message and another round
-            follows, so it holds no UE inputs for that round's gradient.
+        ValueError: ``t`` was given its first round's outputs, so it holds no
+            inputs for that round's gradient.
     """
-    if len(t.rounds) > 1 and t.rounds[0].u3 is None:
-        raise ValueError("backward needs the first round's UE inputs; the trace was "
-                         "given its message instead")
+    if len(t.rounds) < p.n_layers:
+        raise ValueError("backward needs the first round; the trace was given its outputs")
     grad = GnnParams(p.n_layers, p.width)
     grad.w5[...] = _relu(t.z)
     g_z = p.w5 * (t.z > 0)
@@ -196,17 +205,18 @@ def score_action(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
 
 def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
                   actions: list[tuple[int, int]]) -> np.ndarray:
-    """Q-values of the (cell, ue) actions, in their order, with every action
-    checked as ``connect`` checks it first.  Candidate k runs one ``forward`` on
-    its after-state's cell blocks from ``attach_features``, one copy of ``g``'s UE
-    adjacency with its entry (c, u) set, and one copy of ``g``'s first-round
-    message with its row c set to the sum over c's UEs and u in ascending order;
-    the entry and the row are set for that call only.  ``forward`` adds that row
-    as a 0/1 product, in another order at some widths (OpenBLAS: 1-4 and 12, not 8),
-    so each score is ``score_action``'s within 1e-12 of the largest score's magnitude.
+    """Q-values of the (cell, ue) actions, in their order, with every action checked as
+    ``connect`` checks it first.  The first round runs once: its cell side stacked over
+    ``attach_features``' K cell blocks (each h_cl[k] bit for bit its own) and ``g``'s UE
+    message.  Candidate k then runs one ``forward`` from round 1 on h_cl[k], that message
+    with row c the ascending sum over c's UEs and u, and ``g``'s UE adjacency with entry
+    (c, u) set, for that call only.  A plain ``forward`` adds that row as a 0/1 product, in
+    another order at some widths (OpenBLAS: 1-4 and 12, not 8), so each score is
+    ``score_action``'s within 1e-12 of the largest score's magnitude.
     """
-    feats, rows, action, _, _ = attach_features(g, cap, actions)
-    a_ue, w = ue_adjacency(g), p.width
+    feats, rows, action, _, _, a_ue = attach_features(g, cap, actions)
+    w = p.width
+    h_cl = _round(p, 0, feats.cell_rate, feats.cell_cap)[1]
     h = _relu(feats.ue @ p.w3[0])  # one (n_ues, 2) product per block, as forward computes it
     message = a_ue @ h[0]
     kept = message.copy()
@@ -216,8 +226,7 @@ def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
     scores = np.empty(len(actions))
     for k, (cell, ue) in enumerate(actions):
         a_ue[cell, ue], message[cell] = 1.0, summed[k]
-        row = NodeFeatures(feats.cell_rate[k], feats.cell_cap[k], None)
-        scores[k] = forward(p, g, row, a_ue, message).score
+        scores[k] = forward(p, g, None, a_ue, (h_cl[k], message)).score
         a_ue[cell, ue], message[cell] = 0.0, kept[cell]
     return scores
 

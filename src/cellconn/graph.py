@@ -84,11 +84,13 @@ def connect(g: ConnectionGraph, cell: int, ue: int) -> ConnectionGraph:
 
 
 def attach_features(g: ConnectionGraph, cap: np.ndarray, actions: list[tuple[int, int]]
-                    ) -> tuple[NodeFeatures, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                    ) -> tuple[NodeFeatures, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                               np.ndarray]:
     """The after-states' inputs, built from ``g`` alone, with every action
     checked as ``connect`` checks it first: the first bad one raises.
 
-    Returns ``(feats, rows, action, cells, ues)``: action k is (cells[k], ues[k]).
+    Returns ``(feats, rows, action, cells, ues, a_ue)``: action k is (cells[k], ues[k]),
+    and ``a_ue`` is ``ue_adjacency(g)``, built from the same comparison.
     Row k of ``feats.cell_rate`` and ``feats.cell_cap`` (K, n_cells, 2) is bit for
     bit the block of ``input_features(connect(g, *actions[k]), cap)``.  ``feats.ue`` is
     (1 + n_cells, n_ues, 2): block 0 is ``g``'s, and block 1 + c is ``g``'s
@@ -105,10 +107,11 @@ def attach_features(g: ConnectionGraph, cap: np.ndarray, actions: list[tuple[int
     k, m = np.arange(len(cells)), g.n_ues
     per_ue, per_cell, load = _rates(g, cap)
     at_cell = g.assign == np.arange(g.n_cells)[:, None]
+    a_ue = at_cell.astype(float)
     served = np.flatnonzero(at_cell) + m  # (1 + c) * m + UE, by cell and UE
     at_cell[cells, ues] = True
     rates = np.repeat(per_ue[None], 1 + g.n_cells, axis=0)
-    rates[1:][at_cell] = (cap / (load[:, None] + 1.0))[at_cell]
+    np.divide(cap, load[:, None] + 1.0, out=rates[1:], where=at_cell)  # c's UEs and attached UEs
     # each action's cell's UEs (a run of ``served``), then its own UE; sorted by UE per action
     size = load[cells]
     start = (np.cumsum(load) - load)[cells] - np.cumsum(size) + size
@@ -119,7 +122,7 @@ def attach_features(g: ConnectionGraph, cap: np.ndarray, actions: list[tuple[int
     rows, action = rows[order], action[order]
     per_cell = np.repeat(per_cell[None], len(cells), axis=0)
     per_cell[k, cells] = np.bincount(action, weights=rates.ravel()[rows], minlength=len(cells))
-    return _features(g.cell_adj, cap, per_cell, rates), rows, action, cells, ues
+    return _features(g.cell_adj, cap, per_cell, rates), rows, action, cells, ues, a_ue
 
 
 def ue_adjacency(g: ConnectionGraph) -> np.ndarray:
@@ -156,13 +159,12 @@ class NodeFeatures:
         own served throughput].
     cell_cap: (n_cells, 2) columns [own served throughput, total capacity
         toward every UE].
-    ue: (n_ues, 2) columns [total capacity from every cell, own rate]; None
-        where ``forward`` is given the first round's UE message instead.
+    ue: (n_ues, 2) columns [total capacity from every cell, own rate].
     """
 
     cell_rate: np.ndarray
     cell_cap: np.ndarray
-    ue: np.ndarray | None
+    ue: np.ndarray
 
 
 class UeClass(enum.Enum):

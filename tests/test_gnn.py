@@ -405,58 +405,48 @@ def test_score_actions_leaves_its_inputs_unchanged(n_layers):
         assert np.array_equal(scorer(p, g, dep.cap, report_actions(g, dep)), first)
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 12, 16])
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
-def test_score_actions_runs_forward_on_each_candidates_own_inputs(monkeypatch, n_layers):
-    # one forward per candidate, on bit for bit the cell blocks, UE adjacency and
-    # first-round message of its after-state, and no UE block
+def test_score_actions_runs_forward_on_each_candidates_own_inputs(monkeypatch, n_layers, width):
+    # one forward per candidate, in action order, given bit for bit its after-state's
+    # first-round cell embeddings and UE adjacency, and no features; the first-round
+    # message is checked at width 8 only, where the BLAS adds its row in ascending order
     g, dep = emptied_state(6, 30)
     actions = report_actions(g, dep)
-    p = init_params(0, n_layers, 8, 0.5)
-
-    def inputs(cell_rate, cell_cap, a_ue, message):
-        return tuple(a.tobytes() for a in (cell_rate, cell_cap, a_ue, message))
-
+    p = init_params(0, n_layers, width, 0.5)
+    relu = lambda x: np.maximum(x, 0.0)
     seen = []
 
-    def recording(p, g_in, feats, a_ue=None, message=None):
-        assert g_in.cell_adj is g.cell_adj and feats.ue is None
-        seen.append(inputs(feats.cell_rate, feats.cell_cap, a_ue, message))
-        return forward(p, g_in, feats, a_ue, message)
+    def recording(p, g_in, feats, a_ue=None, first=None):
+        assert g_in.cell_adj is g.cell_adj and feats is None
+        h_cl, message = first
+        seen.append((h_cl.tobytes(), a_ue.tobytes(), message.tobytes() if width == 8 else None))
+        return forward(p, g_in, feats, a_ue, first)
 
     monkeypatch.setattr(gnn, "forward", recording)
     score_actions(p, g, dep.cap, actions)
     want = []
     for g_next in (connect(g, c, u) for c, u in actions):
         feats, a_ue = input_features(g_next, dep.cap), ue_adjacency(g_next)
-        message = a_ue @ np.maximum(feats.ue @ p.w3[0], 0.0)
-        want.append(inputs(feats.cell_rate, feats.cell_cap, a_ue, message))
+        h_cl = relu(feats.cell_rate @ p.w1[0]) + relu(feats.cell_cap @ p.w2[0])
+        message = a_ue @ relu(feats.ue @ p.w3[0])
+        want.append((h_cl.tobytes(), a_ue.tobytes(), message.tobytes() if width == 8 else None))
     assert seen == want
 
 
-def test_backward_refuses_a_trace_given_its_message(rng):
-    g, cap, feats = random_instance(rng)
-    p = random_params(rng)
-    t = forward(p, g, feats)
-    message = ue_adjacency(g) @ np.maximum(feats.ue @ p.w3[0], 0.0)
-    given = forward(p, g, dataclasses.replace(feats, ue=None), message=message)
-    assert given.score == t.score
-    with pytest.raises(ValueError, match="message"):
-        backward(p, given)
-
-
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
-def test_backward_on_a_trace_given_its_message_by_depth(rng, n_layers):
-    # one round never reads the message, so its trace is the plain one; a deeper
-    # trace holds no UE inputs for its first round and is refused
+def test_backward_refuses_a_trace_given_its_first_round(rng, n_layers):
+    # the given trace scores bit for bit as the plain one, but holds no first round
+    # for that round's gradient, at every depth
     g, cap, feats = random_instance(rng)
     p = random_params(rng, n_layers)
-    message = ue_adjacency(g) @ np.maximum(feats.ue @ p.w3[0], 0.0)
-    given = forward(p, g, dataclasses.replace(feats, ue=None), message=message)
-    if n_layers > 1:
-        with pytest.raises(ValueError, match="message"):
-            backward(p, given)
-        return
-    assert backward(p, given).vec.tobytes() == backward(p, forward(p, g, feats)).vec.tobytes()
+    relu = lambda x: np.maximum(x, 0.0)
+    h_cl = relu(feats.cell_rate @ p.w1[0]) + relu(feats.cell_cap @ p.w2[0])
+    message = ue_adjacency(g) @ relu(feats.ue @ p.w3[0])
+    given = forward(p, g, None, first=(h_cl, message))
+    assert given.score == forward(p, g, feats).score
+    with pytest.raises(ValueError, match="first round"):
+        backward(p, given)
 
 
 def test_score_actions_memory_stays_one_ue_stack_at_20_by_200():
