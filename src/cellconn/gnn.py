@@ -25,6 +25,7 @@ from cellconn.graph import (DEFAULT_EDGE_THRESHOLD_DB, ConnectionGraph, NodeFeat
 from cellconn.netmodel import is_number, number_array, read_json_object
 
 MODEL_FORMAT_VERSION = 2  # version 1 files carry no threshold and load with the default
+CHUNK = 32  # candidates whose first round ``score_actions`` runs stacked at a time
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -206,28 +207,33 @@ def score_action(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
 def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
                   actions: list[tuple[int, int]]) -> np.ndarray:
     """Q-values of the (cell, ue) actions, in their order, with every action checked as
-    ``connect`` checks it first.  The first round runs once: its cell side stacked over
-    ``attach_features``' K cell blocks (each h_cl[k] bit for bit its own) and ``g``'s UE
-    message.  Candidate k then runs one ``forward`` from round 1 on h_cl[k], that message
-    with row c the ascending sum over c's UEs and u, and ``g``'s UE adjacency with entry
-    (c, u) set, for that call only.  A plain ``forward`` adds that row as a 0/1 product, in
-    another order at some widths (OpenBLAS: 1-4 and 12, not 8), so each score is
-    ``score_action``'s within 1e-12 of the largest score's magnitude.
+    ``connect`` checks it first.  The first round runs CHUNK candidates at a time, so no
+    temporary grows with K: its cell side stacked over their ``attach_features`` cell
+    blocks (each h_cl[k] bit for bit its own), and their message rows from their own UE
+    rows; ``g``'s UE message reads block 0 alone.  Candidate k then runs one ``forward``
+    from round 1 on h_cl[k], that message with row c the ascending sum over c's UEs and
+    u, and ``g``'s UE adjacency with entry (c, u) set, for that call only.  A plain
+    ``forward`` adds that row as a 0/1 product, in another order at some widths
+    (OpenBLAS: 1-4 and 12, not 8), so each score is ``score_action``'s within 1e-12 of
+    the largest score's magnitude.
     """
     feats, rows, action, _, _, a_ue = attach_features(g, cap, actions)
-    w = p.width
-    h_cl = _round(p, 0, feats.cell_rate, feats.cell_cap)[1]
-    h = _relu(feats.ue @ p.w3[0])  # one (n_ues, 2) product per block, as forward computes it
-    message = a_ue @ h[0]
+    w, ue_rows = p.width, feats.ue.reshape(-1, 2)
+    h = feats.ue[0] @ p.w3[0]
+    message = a_ue @ np.maximum(h, 0.0, out=h)
     kept = message.copy()
-    summed = np.bincount((action[:, None] * w + np.arange(w)).ravel(),
-                         weights=h.reshape(-1, w)[rows].ravel(),
-                         minlength=len(actions) * w).reshape(-1, w)
     scores = np.empty(len(actions))
-    for k, (cell, ue) in enumerate(actions):
-        a_ue[cell, ue], message[cell] = 1.0, summed[k]
-        scores[k] = forward(p, g, None, a_ue, (h_cl[k], message)).score
-        a_ue[cell, ue], message[cell] = 0.0, kept[cell]
+    bounds = action.searchsorted(np.arange(0, len(actions) + CHUNK, CHUNK)).tolist()
+    for s, a, b in zip(range(0, len(actions), CHUNK), bounds, bounds[1:]):
+        h_cl = _round(p, 0, feats.cell_rate[s:s + CHUNK], feats.cell_cap[s:s + CHUNK])[1]
+        h = ue_rows.take(rows[a:b], axis=0) @ p.w3[0]  # row by row as forward's product
+        summed = np.bincount(((action[a:b] - s)[:, None] * w + np.arange(w)).ravel(),
+                             weights=np.maximum(h, 0.0, out=h).ravel(),
+                             minlength=len(h_cl) * w).reshape(-1, w)
+        for k, (cell, ue) in enumerate(actions[s:s + CHUNK]):
+            a_ue[cell, ue], message[cell] = 1.0, summed[k]
+            scores[s + k] = forward(p, g, None, a_ue, (h_cl[k], message)).score
+            a_ue[cell, ue], message[cell] = 0.0, kept[cell]
     return scores
 
 
