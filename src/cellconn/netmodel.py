@@ -203,29 +203,43 @@ def in_hexagon(points: np.ndarray, diameter_m: float) -> np.ndarray:
     return (y <= half_height) & (math.sqrt(3.0) * x + y <= math.sqrt(3.0) * radius)
 
 
-def _sample_in_hexagon(rng: np.random.Generator, diameter_m: float,
-                       keep_min_dist_from: np.ndarray | None = None,
-                       min_dist_m: float = 0.0,
-                       attempts_used: int = 0) -> tuple[np.ndarray, int]:
-    """Rejection-sample one point, optionally min_dist_m away from given points."""
+def _sample_in_hexagon(rng: np.random.Generator, diameter_m: float, others: np.ndarray,
+                       min_dist_m: float, attempts: int) -> tuple[np.ndarray, int]:
+    """Rejection-sample one point at least min_dist_m away from ``others``; the draw
+    count ``attempts`` goes on from the given one."""
     radius = diameter_m / 2.0
     half_height = radius * math.sqrt(3.0) / 2.0
-    attempts = attempts_used
     while attempts < MAX_PLACEMENT_ATTEMPTS:
         attempts += 1
         p = rng.uniform([-radius, -half_height], [radius, half_height])
-        if not in_hexagon(p, diameter_m):
-            continue
-        if keep_min_dist_from is not None and len(keep_min_dist_from) > 0:
-            d = np.hypot(*(keep_min_dist_from - p).T)
-            if d.min() < min_dist_m:
-                continue
-        return p, attempts
+        if in_hexagon(p, diameter_m) and (
+                len(others) == 0 or np.hypot(*(others - p).T).min() >= min_dist_m):
+            return p, attempts
     raise PlacementError(
         f"could not place a point after {MAX_PLACEMENT_ATTEMPTS} attempts; "
         f"minimum separation of {min_dist_m} m inside a {diameter_m} m hexagon "
         "appears infeasible"
     )
+
+
+def _sample_ues(rng: np.random.Generator, diameter_m: float, n: int) -> np.ndarray:
+    """``n`` points uniform in the hexagon, each from at most MAX_PLACEMENT_ATTEMPTS draws
+    of its own, as a loop of one draw at a time would give them, bit for bit, with ``rng``
+    left where that loop leaves it: drawn in batches, then rewound and advanced by the
+    two doubles of each draw the loop makes."""
+    radius = diameter_m / 2.0
+    half_height = radius * math.sqrt(3.0) / 2.0
+    state, drawn, ends = rng.bit_generator.state, np.empty((0, 2)), np.array([-1])
+    # ends: -1, then each draw inside the hexagon; stop once the next UE is out of draws
+    while len(ends) <= n and len(drawn) - ends[-1] <= MAX_PLACEMENT_ATTEMPTS:
+        batch = rng.uniform([-radius, -half_height], [radius, half_height], (n + n // 3 + 64, 2))
+        drawn = np.concatenate([drawn, batch])
+        ends = np.concatenate([[-1], np.flatnonzero(in_hexagon(drawn, diameter_m))])
+    if len(ends) <= n or np.diff(ends[:n + 1]).max(initial=0) > MAX_PLACEMENT_ATTEMPTS:
+        raise PlacementError(f"could not place a UE in {MAX_PLACEMENT_ATTEMPTS} attempts")
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(2 * (int(ends[n]) + 1))
+    return drawn[ends[1:n + 1]]
 
 
 def generate_deployment(seed: int, n_cells: int, n_ues: int,
@@ -256,10 +270,7 @@ def generate_deployment(seed: int, n_cells: int, n_ues: int,
                                          min_cell_sep_m, attempts)
         cells = np.vstack([cells, p])
 
-    ues = np.empty((n_ues, 2))
-    for j in range(n_ues):
-        ues[j], _ = _sample_in_hexagon(rng, hex_diameter_m)
-
+    ues = _sample_ues(rng, hex_diameter_m, n_ues)
     shadow_db = rng.normal(0.0, radio.shadow_sigma_db, size=(n_cells, n_ues))
     return Deployment(seed=seed, hex_diameter_m=hex_diameter_m, radio=radio,
                       cells=cells, ues=ues, shadow_db=shadow_db)

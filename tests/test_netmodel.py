@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import cellconn.netmodel as netmodel
 from cellconn.netmodel import (CELL_HEIGHT_M, UE_HEIGHT_M, Deployment,
                                MeasurementReport, PlacementError, RadioConfig,
                                distance_3d_m, generate_deployment,
@@ -114,6 +115,59 @@ def test_cell_separation_enforced():
 def test_separation_infeasible_raises():
     with pytest.raises(PlacementError, match="separation"):
         generate_deployment(0, 5, 1, hex_diameter_m=20.0, min_cell_sep_m=50.0)
+
+
+def one_at_a_time(seed, n_cells, n_ues, hex_diameter_m=500.0, min_cell_sep_m=50.0):
+    """Cells, UEs and shadowing of a deployment as drawn one UE at a time: up to
+    ``netmodel.MAX_PLACEMENT_ATTEMPTS`` uniform draws in the hexagon's bounding box per UE."""
+    rng = np.random.default_rng(seed)
+    cells, attempts = np.empty((0, 2)), 0
+    for _ in range(n_cells):  # the cell sampler, not under test here
+        p, attempts = netmodel._sample_in_hexagon(rng, hex_diameter_m, cells, min_cell_sep_m,
+                                                  attempts)
+        cells = np.vstack([cells, p])
+    radius = hex_diameter_m / 2.0
+    half_height = radius * math.sqrt(3.0) / 2.0
+    ues = []
+    for _ in range(n_ues):
+        for _ in range(netmodel.MAX_PLACEMENT_ATTEMPTS):
+            p = rng.uniform([-radius, -half_height], [radius, half_height])
+            if in_hexagon(p, hex_diameter_m):
+                ues.append(p)
+                break
+        else:
+            raise PlacementError("out of attempts")
+    shadow_db = rng.normal(0.0, RadioConfig().shadow_sigma_db, size=(n_cells, n_ues))
+    return cells, np.reshape(ues, (n_ues, 2)), shadow_db
+
+
+@pytest.mark.parametrize("n_cells, n_ues", [(1, 1), (2, 4), (6, 30), (20, 200)])
+def test_ues_drawn_in_batches_are_the_one_at_a_time_draws(n_cells, n_ues):
+    for seed in range(200):
+        dep = generate_deployment(seed, n_cells, n_ues)
+        for got, want in zip((dep.cells, dep.ues, dep.shadow_db),
+                             one_at_a_time(seed, n_cells, n_ues)):
+            assert got.tobytes() == want.tobytes(), seed
+
+
+def test_a_ue_out_of_attempts_raises_as_one_at_a_time(monkeypatch):
+    # with two draws per UE, about one UE in 16 runs out (a draw misses the hexagon
+    # a quarter of the time); both samplers must fail on the same seeds, at any UE
+    monkeypatch.setattr(netmodel, "MAX_PLACEMENT_ATTEMPTS", 2)
+    outcomes = set()
+    for seed in range(60):
+        try:
+            want = one_at_a_time(seed, 1, 30)
+        except PlacementError:
+            with pytest.raises(PlacementError, match="could not place"):
+                generate_deployment(seed, 1, 30)
+            outcomes.add("raised")
+            continue
+        dep = generate_deployment(seed, 1, 30)
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip((dep.cells, dep.ues, dep.shadow_db), want))
+        outcomes.add("drawn")
+    assert outcomes == {"raised", "drawn"}
 
 
 def test_bad_counts_rejected():
