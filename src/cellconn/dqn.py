@@ -102,7 +102,8 @@ class Transition:
     transition, which they never outlive; they read only the graph and
     ``cap``, so no update makes them stale.  Q reads the after-state's
     ``features``; the target reads ``candidates``: the ``attach_features`` blocks
-    of the next state's legal actions, then the actions' cells and UEs.
+    of the next state's legal actions, the actions' cells and UEs, and the next
+    state's UE adjacency.
     """
 
     reward: float
@@ -113,10 +114,10 @@ class Transition:
         return input_features(self.next_state.graph, self.next_state.cap)
 
     @cached_property
-    def candidates(self) -> tuple[NodeFeatures, np.ndarray, np.ndarray]:
+    def candidates(self) -> tuple[NodeFeatures, np.ndarray, np.ndarray, np.ndarray]:
         nxt = self.next_state
-        feats, _, _, cells, ues, _ = attach_features(nxt.graph, nxt.cap, legal_actions(nxt))
-        return feats, cells, ues
+        feats, _, _, cells, ues, a_ue = attach_features(nxt.graph, nxt.cap, legal_actions(nxt))
+        return feats, cells, ues, a_ue
 
 
 class ReplayBuffer:

@@ -238,14 +238,15 @@ def score_actions(p: GnnParams, g: ConnectionGraph, cap: np.ndarray,
 
 
 def score_stacked(p: GnnParams, g: ConnectionGraph, feats: NodeFeatures,
-                  cells: np.ndarray, ues: np.ndarray) -> np.ndarray:
+                  cells: np.ndarray, ues: np.ndarray, a_ue: np.ndarray) -> np.ndarray:
     """Q-values of attaching each ``ues[k]`` to ``cells[k]`` in one stacked ``forward``,
-    bit for bit each ``score_action``; ``feats`` is ``attach_features``' of these actions.
-    Candidate k reads its cell blocks, UE block 1 + c of its cell c and a copy of ``g``'s
-    UE adjacency with entry (c, u) set.  The block is the after-state's own in every
-    row the copy selects; every other row meets a zero column and adds exact zeros.
+    bit for bit each ``score_action``; ``feats`` and ``a_ue`` (``g``'s UE adjacency, left
+    unchanged) are ``attach_features``' of these actions.  Candidate k reads its cell
+    blocks, UE block 1 + c of its cell c and a copy of ``a_ue`` with entry (c, u) set.
+    The block is the after-state's own in every row the copy selects; every other row
+    meets a zero column and adds exact zeros.
     """
-    a_ue = np.repeat(ue_adjacency(g)[None], len(cells), axis=0)
+    a_ue = a_ue[None].repeat(len(cells), axis=0)
     a_ue[np.arange(len(cells)), cells, ues] = 1.0
     return forward(p, g, replace(feats, ue=feats.ue[1 + cells]), a_ue).score
 

@@ -281,8 +281,8 @@ def report_actions(g, dep):
 def stacked_scores(p, g, cap, actions):
     """The actions' scores from ``score_stacked``, the TD target's pass, on the
     inputs that ``dqn.Transition.candidates`` keeps."""
-    feats = attach_features(g, cap, actions)[0]
-    return gnn.score_stacked(p, g, feats, *np.array(actions, dtype=np.intp).reshape(-1, 2).T)
+    feats, _, _, cells, ues, a_ue = attach_features(g, cap, actions)
+    return gnn.score_stacked(p, g, feats, cells, ues, a_ue)
 
 
 SCORERS = (score_actions, stacked_scores)
