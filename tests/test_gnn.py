@@ -469,7 +469,7 @@ def test_score_actions_memory_stays_one_ue_stack_at_20_by_200():
 def test_a_decision_at_20_by_200_peaks_under_1_mb():
     # the first round runs gnn.CHUNK candidates at a time, so no temporary grows with
     # K or with the (1 + n_cells, n_ues, width) UE product; scoring every candidate
-    # at once peaked at 1.61 MB here, the chunks at 0.55 MB
+    # at once peaked at 1.61 MB here, the chunks at 0.57 MB
     p = init_params(0, 2, 8)
     s = deployment_state(generate_deployment(1_000_000, 20, 200), p)
     actions = legal_actions(s)
